@@ -1,6 +1,7 @@
-// Recovery-latency scaling: wall-clock time of each parallel recovery
-// phase (journal replay, shadow op-sequence replay, fsck) and of the
-// whole replay->fsck pipeline at 1/2/4/8 worker threads. Unlike the
+// Recovery-latency scaling: wall-clock time of each recovery phase that
+// fans out across workers (journal replay, shadow op-sequence replay over
+// its metadata read-ahead, fsck, the bulk install) and of the whole
+// replay->fsck pipeline at 1/2/4/8 worker threads. Unlike the
 // simulated-time experiments, these benchmarks measure REAL time: the
 // point of the worker pools is to cut wall-clock downtime on a real
 // host, so host parallelism is exactly what is under test.
@@ -29,8 +30,6 @@
 #include "fsck/fsck.h"
 #include "journal/journal.h"
 #include "common/worker_pool.h"
-#include "oplog/dep_graph.h"
-#include "shadowfs/shadow_parallel.h"
 #include "shadowfs/shadow_replay.h"
 #include "tests/support/fixtures.h"
 
@@ -174,14 +173,12 @@ void BM_ShadowReplay(benchmark::State& state) {
   config.replay_workers = workers;
   uint64_t replayed = 0;
   for (auto _ : state) {
-    auto outcome = shadow_execute_parallel(&timed, s.log, config);
+    auto outcome = shadow_execute(&timed, s.log, config);
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     replayed = outcome.ops_replayed;
     benchmark::DoNotOptimize(outcome.dirty);
   }
   state.counters["ops_replayed"] = static_cast<double>(replayed);
-  state.counters["components"] = static_cast<double>(
-      build_op_dependency_graph(s.log).components.size());
 }
 BENCHMARK(BM_ShadowReplay)
     ->ArgName("workers")
@@ -281,7 +278,7 @@ void BM_RecoveryPipeline(benchmark::State& state) {
     if (!Journal::replay(&timed, geo, workers).ok()) {
       state.SkipWithError("journal replay failed");
     }
-    auto outcome = shadow_execute_parallel(&timed, s.log, config);
+    auto outcome = shadow_execute(&timed, s.log, config);
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     // Offline install of the shadow's output: each target block appears
     // exactly once in seal() output, so the writes are order-independent
@@ -406,7 +403,7 @@ void BM_RecoveryPipelineAutotuned(benchmark::State& state) {
     }
     ShadowConfig config;
     config.replay_workers = workers;
-    auto outcome = shadow_execute_parallel(&timed, s.log, config);
+    auto outcome = shadow_execute(&timed, s.log, config);
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     {
       const auto& dirty = outcome.dirty;

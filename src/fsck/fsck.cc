@@ -1,16 +1,15 @@
 #include "fsck/fsck.h"
 
-#include <atomic>
 #include <cstring>
 #include <deque>
-#include <optional>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/worker_pool.h"
 #include "format/bitmap.h"
 #include "format/dirent.h"
+#include "format/footprint.h"
 #include "format/inode.h"
 #include "format/superblock.h"
 #include "journal/journal.h"
@@ -55,10 +54,19 @@ class Checker {
     check_metadata_region_bits();
     if (level_ == FsckLevel::kWeak) return report_;
 
-    // Parallel scan phases fill the inode/block caches; the serial
-    // reconciliation below consumes them through load_inode()/read(), so
-    // its findings are byte-identical to an uncached run.
-    if (workers_ > 1) prefetch_parallel();
+    // pFSCK-style, parallelism only reads ahead: the serial checks below
+    // read through a snapshot of the metadata footprint and the journal
+    // region, so their findings are identical to a run straight off the
+    // device.
+    std::unique_ptr<PrefetchedDevice> snapshot;
+    if (workers_ > 1) {
+      obs::TraceSpan span(obs::kSpanFsckScan, nullptr);
+      snapshot = prefetch_metadata(dev_, workers_);
+      std::vector<BlockNo> journal(geo_.journal_blocks);
+      std::iota(journal.begin(), journal.end(), geo_.journal_start);
+      snapshot->fetch(journal);
+      dev_ = snapshot.get();
+    }
 
     obs::TraceSpan rs(obs::kSpanFsckReconcile, nullptr);
     RAEFS_TRY_VOID(walk_tree());
@@ -77,124 +85,9 @@ class Checker {
   }
 
   Result<std::vector<uint8_t>> read(BlockNo b) {
-    auto it = block_cache_.find(b);
-    if (it != block_cache_.end()) return it->second;
     std::vector<uint8_t> data(kBlockSize);
     RAEFS_TRY_VOID(dev_->read_block(b, data));
     return data;
-  }
-
-  /// Scan phase A (workers partitioned by inode-table block range):
-  /// decode and validate every inode slot into inode_cache_. Scan phase B
-  /// (workers partitioned over the in-use inodes found by A): prefetch
-  /// indirect/double-indirect spine blocks of every in-use inode and the
-  /// dirent data blocks of directories into block_cache_. The win is
-  /// twofold: per-slot CRC + structural validation overlaps across
-  /// cores, and on a device with real access latency the workers'
-  /// concurrent reads overlap the waits a single-stream check would
-  /// serialize. Any device error disables the caches and leaves the
-  /// serial walk to re-read and surface it exactly as an uncached run
-  /// would.
-  void prefetch_parallel() {
-    obs::TraceSpan span(obs::kSpanFsckScan, nullptr);
-    WorkerPool pool(workers_);
-    // Reads go to the device unserialized: BlockDevice implementations
-    // must tolerate concurrent readers (MemBlockDevice takes a shared
-    // lock), and on a device with real access latency a global read
-    // mutex would serialize exactly the waits the scan workers exist to
-    // overlap.
-    auto fetch_block = [&](BlockNo b) -> Result<std::vector<uint8_t>> {
-      std::vector<uint8_t> data(kBlockSize);
-      RAEFS_TRY_VOID(dev_->read_block(b, data));
-      return data;
-    };
-
-    const uint64_t tblocks = geo_.inode_table_blocks;
-    const uint64_t achunks = std::min<uint64_t>(workers_, tblocks);
-    if (achunks == 0) return;
-    inode_cache_.assign(geo_.inode_count + 1, std::nullopt);
-    std::atomic<bool> failed{false};
-    pool.run(achunks, [&](uint64_t c) {
-      uint64_t begin = tblocks * c / achunks;
-      uint64_t end = tblocks * (c + 1) / achunks;
-      for (uint64_t i = begin; i < end && !failed; ++i) {
-        auto block = fetch_block(geo_.inode_table_start + i);
-        if (!block.ok()) {
-          failed = true;
-          return;
-        }
-        for (uint32_t slot = 0; slot < kInodesPerBlock; ++slot) {
-          Ino ino = i * kInodesPerBlock + slot + 1;
-          if (!geo_.ino_valid(ino)) break;
-          auto inode = inode_from_table_block(block.value(), slot, geo_);
-          // Failed slots stay nullopt; load_inode reports them the same
-          // way the direct decode would.
-          if (inode.ok()) inode_cache_[ino] = inode.value();
-        }
-      }
-    });
-    if (failed) {
-      inode_cache_.clear();
-      return;
-    }
-
-    std::vector<Ino> in_use;
-    for (Ino ino = 1; ino <= geo_.inode_count; ++ino) {
-      if (inode_cache_[ino] && inode_cache_[ino]->in_use()) {
-        in_use.push_back(ino);
-      }
-    }
-    if (in_use.empty()) return;
-    const uint64_t bchunks = std::min<uint64_t>(workers_, in_use.size());
-    std::vector<std::unordered_map<BlockNo, std::vector<uint8_t>>> local(
-        bchunks);
-    pool.run(bchunks, [&](uint64_t c) {
-      // unordered_map references are stable across inserts, so pointers
-      // into the local cache survive subsequent fills.
-      auto fetch = [&](BlockNo b) -> const std::vector<uint8_t>* {
-        if (!geo_.is_data_block(b)) return nullptr;  // walk reports wild ptrs
-        auto it = local[c].find(b);
-        if (it != local[c].end()) return &it->second;
-        auto data = fetch_block(b);
-        if (!data.ok()) return nullptr;
-        return &local[c].emplace(b, std::move(data).value()).first->second;
-      };
-      auto each_ptr = [](const std::vector<uint8_t>& block, auto&& fn) {
-        for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-          uint64_t ptr = 0;
-          std::memcpy(&ptr, block.data() + i * 8, sizeof(ptr));
-          if (ptr != 0) fn(ptr);
-        }
-      };
-      uint64_t begin = in_use.size() * c / bchunks;
-      uint64_t end = in_use.size() * (c + 1) / bchunks;
-      for (uint64_t idx = begin; idx < end; ++idx) {
-        const DiskInode& ino = *inode_cache_[in_use[idx]];
-        bool is_dir = ino.type == FileType::kDirectory;
-        if (is_dir) {
-          for (BlockNo b : ino.direct) {
-            if (b != 0) fetch(b);
-          }
-        }
-        if (ino.indirect != 0) {
-          if (const auto* iblk = fetch(ino.indirect); iblk && is_dir) {
-            each_ptr(*iblk, [&](uint64_t ptr) { fetch(ptr); });
-          }
-        }
-        if (ino.dindirect != 0) {
-          if (const auto* dblk = fetch(ino.dindirect)) {
-            each_ptr(*dblk, [&](uint64_t l1) {
-              if (const auto* l1b = fetch(l1); l1b && is_dir) {
-                each_ptr(*l1b, [&](uint64_t ptr) { fetch(ptr); });
-              }
-            });
-          }
-        }
-      }
-    });
-    for (auto& m : local) {
-      for (auto& [b, d] : m) block_cache_.emplace(b, std::move(d));
-    }
   }
 
   Status check_superblock() {
@@ -254,11 +147,6 @@ class Checker {
   }
 
   Result<DiskInode> load_inode(Ino ino) {
-    if (!inode_cache_.empty()) {
-      const auto& cached = inode_cache_[ino];
-      if (cached) return *cached;
-      return Errno::kCorrupt;
-    }
     RAEFS_TRY(auto block, read(geo_.inode_block(ino)));
     return inode_from_table_block(block, geo_.inode_slot(ino), geo_);
   }
@@ -515,9 +403,6 @@ class Checker {
   Geometry geo_;
   std::vector<uint8_t> block_bitmap_;
   std::vector<uint8_t> inode_bitmap_;
-  // Filled by prefetch_parallel (empty = serial, uncached).
-  std::vector<std::optional<DiskInode>> inode_cache_;
-  std::unordered_map<BlockNo, std::vector<uint8_t>> block_cache_;
   std::unordered_map<BlockNo, Ino> claimed_;
   std::unordered_set<Ino> seen_nondirs_;
   std::unordered_set<Ino> reachable_;

@@ -54,16 +54,14 @@ struct FsckReport {
 struct FsckOptions {
   FsckLevel level = FsckLevel::kStrict;
 
-  /// Worker threads for the scan phases of a kStrict check (pFSCK-style):
-  /// phase A decodes and validates every inode-table slot in parallel
-  /// (partitioned by table-block range), phase B prefetches indirect /
-  /// double-indirect spine blocks and directory dirent blocks. The
-  /// reconciliation walk (reachability, link counts, block ownership,
-  /// bitmap agreement) stays serial and consumes the caches, so the
-  /// findings are byte-identical at any worker count; <= 1 keeps the
-  /// fully serial path. Prefetching may issue device reads a serial run
-  /// would have skipped (e.g. the spine of an inode the walk never
-  /// reaches past a fatal finding).
+  /// Read-ahead fan-out of a kStrict check (pFSCK-style): that many
+  /// concurrent readers fetch the image's metadata footprint
+  /// (format/footprint.h) before the serial walk (reachability, link
+  /// counts, block ownership, bitmap agreement) reads through it, so the
+  /// findings are identical at any worker count; <= 1 reads the device
+  /// directly. The read-ahead may issue device reads a serial run would
+  /// have skipped (e.g. the spine of an inode the walk never reaches past
+  /// a fatal finding).
   uint32_t workers = 1;
 };
 

@@ -1,10 +1,10 @@
 #include "journal/journal.h"
 
 #include <algorithm>
-#include <cstring>
-#include <optional>
+#include <numeric>
 #include <unordered_map>
 
+#include "blockdev/prefetch.h"
 #include "common/checksum.h"
 #include "common/serial.h"
 #include "common/worker_pool.h"
@@ -767,82 +767,19 @@ double Journal::fill_ratio() const {
   return static_cast<double>(used) / static_cast<double>(geo_.journal_blocks);
 }
 
-namespace {
-
-/// Serves reads inside the journal region from a buffer the replay
-/// workers prefetched in parallel; everything else passes through. The
-/// scan itself is inherently sequential (each descriptor tells it where
-/// the next one starts), so on a device with real access latency the
-/// scan's one-block-at-a-time reads would dominate replay; prefetching
-/// the whole region with the worker pool overlaps those waits, and the
-/// scan then runs against memory.
-class JournalRegionCache final : public BlockDevice {
- public:
-  JournalRegionCache(BlockDevice* inner, const Geometry& geo,
-                     std::vector<uint8_t> region)
-      : inner_(inner), geo_(geo), region_(std::move(region)) {}
-
-  uint32_t block_size() const override { return inner_->block_size(); }
-  uint64_t block_count() const override { return inner_->block_count(); }
-
-  Status read_block(BlockNo block, std::span<uint8_t> out) override {
-    if (block >= geo_.journal_start &&
-        block < geo_.journal_start + geo_.journal_blocks) {
-      if (out.size() != kBlockSize) return Errno::kInval;
-      std::memcpy(out.data(),
-                  region_.data() + (block - geo_.journal_start) * kBlockSize,
-                  kBlockSize);
-      return Status::Ok();
-    }
-    return inner_->read_block(block, out);
-  }
-  Status write_block(BlockNo block, std::span<const uint8_t> data) override {
-    return inner_->write_block(block, data);
-  }
-  Status flush() override { return inner_->flush(); }
-  const DeviceStats& stats() const override { return inner_->stats(); }
-
- private:
-  BlockDevice* inner_;
-  Geometry geo_;
-  std::vector<uint8_t> region_;
-};
-
-Result<std::vector<uint8_t>> prefetch_journal_region(BlockDevice* dev,
-                                                     const Geometry& geo,
-                                                     uint32_t workers) {
-  std::vector<uint8_t> region(geo.journal_blocks * kBlockSize);
-  uint64_t nchunks = std::min<uint64_t>(workers, geo.journal_blocks);
-  std::vector<Status> errors(nchunks, Status::Ok());
-  WorkerPool pool(workers);
-  pool.run(nchunks, [&](uint64_t c) {
-    uint64_t begin = geo.journal_blocks * c / nchunks;
-    uint64_t end = geo.journal_blocks * (c + 1) / nchunks;
-    for (uint64_t i = begin; i < end; ++i) {
-      std::span<uint8_t> out(region.data() + i * kBlockSize, kBlockSize);
-      Status st = dev->read_block(geo.journal_start + i, out);
-      if (!st.ok()) {
-        errors[c] = st;
-        return;
-      }
-    }
-  });
-  for (const Status& st : errors) {
-    if (!st.ok()) return st.error();
-  }
-  return region;
-}
-
-}  // namespace
-
 Result<ReplayResult> Journal::replay(BlockDevice* dev, const Geometry& geo,
                                      uint32_t workers) {
-  std::optional<JournalRegionCache> scan_cache;
+  // The scan is inherently sequential (each descriptor says where the next
+  // one starts), so on a device with real access latency its
+  // one-block-at-a-time reads would dominate replay. With workers > 1 the
+  // whole region is read ahead in parallel and the scan runs from memory.
+  std::unique_ptr<PrefetchedDevice> region;
   BlockDevice* scan_dev = dev;
   if (workers > 1) {
-    RAEFS_TRY(auto region, prefetch_journal_region(dev, geo, workers));
-    scan_cache.emplace(dev, geo, std::move(region));
-    scan_dev = &*scan_cache;
+    std::vector<BlockNo> blocks(geo.journal_blocks);
+    std::iota(blocks.begin(), blocks.end(), geo.journal_start);
+    region = prefetch(dev, blocks, workers);
+    scan_dev = region.get();
   }
   std::vector<uint8_t> buf(kBlockSize);
   RAEFS_TRY_VOID(scan_dev->read_block(geo.journal_start, buf));

@@ -218,11 +218,13 @@ class Journal {
   /// beyond the header's floor to the device, flush, and reset the journal
   /// to a clean state.
   ///
-  /// With `workers > 1` the apply step runs in parallel: committed records
-  /// are deduplicated to the latest copy per target block (the same
-  /// latest-wins rule the checkpointer uses -- later transactions fully
-  /// shadow earlier writes to the same block), sorted by target, and
-  /// partitioned into contiguous block ranges applied by a WorkerPool.
+  /// With `workers > 1` the scan runs over a parallel read-ahead of the
+  /// whole region (blockdev/prefetch.h) and the apply step runs in
+  /// parallel: committed records are deduplicated to the latest copy per
+  /// target block (the same latest-wins rule the checkpointer uses --
+  /// later transactions fully shadow earlier writes to the same block),
+  /// sorted by target, and partitioned into contiguous block ranges
+  /// applied by a WorkerPool.
   /// Each target block is written exactly once by exactly one worker, so
   /// the final device image is byte-identical to the serial in-order
   /// replay, and the whole operation stays idempotent: the header is

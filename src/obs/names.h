@@ -83,10 +83,6 @@ inline constexpr const char* kMRaeDownloadRetries = "rae.download.retries";
 inline constexpr const char* kMRaeAutotuneQdepth = "rae.autotune.qdepth";
 inline constexpr const char* kMRaeRecoveryTimeNs =
     "rae.recovery.time_ns";                                         // histogram
-// Times the parallel shadow replay planner proved commutativity could not
-// be exploited safely and fell back to the serial reference executor.
-inline constexpr const char* kMShadowParallelFallbacks =
-    "shadow.replay.parallel_fallbacks";
 
 // --- metrics: observability internals ---------------------------------------
 inline constexpr const char* kMObsSlowOps = "obs.slow_ops";
@@ -109,9 +105,8 @@ inline constexpr const char* kSpanJournalReplayApply = "journal.replay.apply";
 inline constexpr const char* kSpanBaseInstallApply = "basefs.install.apply";
 inline constexpr const char* kSpanBlockdevWriteback = "blockdev.writeback";
 inline constexpr const char* kSpanShadowReplay = "shadow.replay";
-inline constexpr const char* kSpanShadowReplayPlan = "shadow.replay.plan";
-inline constexpr const char* kSpanShadowReplayShard = "shadow.replay.shard";
-inline constexpr const char* kSpanShadowReplayMerge = "shadow.replay.merge";
+inline constexpr const char* kSpanShadowReplayPrefetch =
+    "shadow.replay.prefetch";
 inline constexpr const char* kSpanFsckScan = "fsck.scan";
 inline constexpr const char* kSpanFsckReconcile = "fsck.reconcile";
 inline constexpr const char* kSpanRecovery = "rae.recovery";

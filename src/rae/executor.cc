@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "rae/wire.h"
-#include "shadowfs/shadow_parallel.h"
 
 namespace raefs {
 
@@ -24,8 +23,7 @@ ShadowOutcome InProcessShadowExecutor::execute(
     outcome.failure = "op-record wire corruption";
     return outcome;
   }
-  return shadow_execute_parallel(dev, decoded.value(), config,
-                                 std::move(clock));
+  return shadow_execute(dev, decoded.value(), config, std::move(clock));
 }
 
 namespace {
@@ -98,8 +96,7 @@ ShadowOutcome ForkShadowExecutor::execute(BlockDevice* dev,
       outcome.failure = "op-record wire corruption (child)";
     } else {
       auto child_clock = make_clock();  // fresh clock; delta reported back
-      outcome = shadow_execute_parallel(dev, decoded.value(), config,
-                                        child_clock);
+      outcome = shadow_execute(dev, decoded.value(), config, child_clock);
     }
     auto bytes = wire::encode_outcome(outcome);
     uint64_t len = bytes.size();

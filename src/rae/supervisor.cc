@@ -127,7 +127,23 @@ Status RaeSupervisor::shutdown() {
   if (shutdown_) return Errno::kInval;
   shutdown_ = true;
   if (offline_ || !base_) return Status::Ok();
-  return base_->unmount();
+  try {
+    return base_->unmount();
+  } catch (const FsPanicError& e) {
+    // Validate-on-sync can trip in unmount's final sync: recover as a
+    // trapped sync would, then unmount the recovered base once.
+    ++stats_.panics_trapped;
+    auto rec = recover(e.site(), 0);
+    if (!rec.ok() || !base_) return Errno::kIo;
+    try {
+      return base_->unmount();
+    } catch (const FsPanicError& e2) {
+      stats_.last_failure =
+          std::string("unmount re-panicked after recovery: ") + e2.what();
+      offline_ = true;
+      return Errno::kIo;
+    }
+  }
 }
 
 BaseFsStats RaeSupervisor::base_stats() const {

@@ -87,11 +87,11 @@ struct RaeOptions {
   uint32_t journal_replay_workers = 1;
 
   /// Worker threads for post-recovery fsck (the verify phase below and
-  /// any supervisor-driven checks). Parallelism only prefetches; findings
+  /// any supervisor-driven checks). Parallelism only reads ahead; findings
   /// are byte-identical to a serial run. 1 keeps the serial path; 0 =
-  /// auto (probed queue depth, as above). The shadow replay's worker
-  /// count is `shadow.replay_workers` (also 0 = auto); the bulk install's
-  /// is `base.install_workers`.
+  /// auto (probed queue depth, as above). The shadow replay's read-ahead
+  /// fan-out is `shadow.replay_workers` (also 0 = auto); the bulk
+  /// install's worker count is `base.install_workers`.
   uint32_t fsck_workers = 1;
 
   /// After the download phase, snapshot the device, replay the journal on
@@ -181,7 +181,9 @@ class RaeSupervisor {
   Status sync();
 
   /// Clean shutdown: commit, checkpoint, mark clean. The supervisor is
-  /// unusable afterwards.
+  /// unusable afterwards. A panic in the final sync (validate-on-sync) is
+  /// recovered like a trapped sync, then the recovered base is unmounted
+  /// once; kIo if that fails too.
   Status shutdown();
 
   /// Online scrub (paper §4.3's testing phase, as a runtime feature):

@@ -65,23 +65,6 @@ void ShadowFs::open() {
   }
 }
 
-void ShadowFs::open_unvalidated() {
-  SHADOW_CHECK(defer_allocs_, "open_unvalidated outside deferred mode");
-  SHADOW_CHECK(!opened_, "ShadowFs::open called twice");
-  std::vector<uint8_t> sb_block(kBlockSize);
-  SHADOW_CHECK(rodev_.read_block(0, sb_block).ok(), "cannot read superblock");
-  ++device_reads_;
-  auto sb = Superblock::decode(sb_block);
-  SHADOW_CHECK(sb.ok(), "superblock failed validation");
-  sb_ = sb.value();
-  auto geo = sb_.geometry();
-  SHADOW_CHECK(geo.ok(), "superblock geometry inconsistent");
-  geo_ = geo.value();
-  SHADOW_CHECK(geo_.total_blocks <= rodev_.block_count(),
-               "image larger than device");
-  opened_ = true;
-}
-
 void ShadowFs::validate_image_extensive() {
   // A verified-FSCK stand-in (paper §4.3: the input image must be valid
   // for the shadow's liveness guarantee to hold). Checks:
@@ -150,15 +133,10 @@ Nanos ShadowFs::block_access_cost() const {
 }
 
 std::vector<uint8_t> ShadowFs::read_block(BlockNo block) {
-  bool virt = defer_allocs_ && is_virtual_block(block);
-  check(virt || block < geo_.total_blocks || !opened_,
-        "block number out of range");
+  check(block < geo_.total_blocks || !opened_, "block number out of range");
   if (clock_) clock_->advance(block_access_cost());
   auto it = overlay_.find(block);
   if (it != overlay_.end()) return it->second.data;
-  // A virtual block exists only in the overlay; a miss means a dangling
-  // virtual pointer (or one freed behind our back).
-  SHADOW_CHECK(!virt, "read of unmaterialized virtual block");
   std::vector<uint8_t> data(kBlockSize);
   SHADOW_CHECK(rodev_.read_block(block, data).ok(), "device read failed");
   ++device_reads_;
@@ -167,9 +145,7 @@ std::vector<uint8_t> ShadowFs::read_block(BlockNo block) {
 
 void ShadowFs::write_block(BlockNo block, std::vector<uint8_t> data,
                            BlockClass cls) {
-  check((defer_allocs_ && is_virtual_block(block)) ||
-            block < geo_.total_blocks,
-        "write: block number out of range");
+  check(block < geo_.total_blocks, "write: block number out of range");
   check(data.size() == kBlockSize, "write: bad block size");
   check(block >= geo_.data_start || block < geo_.journal_start,
         "write: journal region is off-limits to the shadow");
@@ -190,18 +166,6 @@ void ShadowFs::modify_block(BlockNo block, BlockClass cls,
 // inodes & bitmaps
 // ---------------------------------------------------------------------------
 
-Status ShadowFs::validate_inode(const DiskInode& inode) const {
-  if (!defer_allocs_) return inode.validate(geo_);
-  DiskInode masked = inode;
-  auto mask = [&](BlockNo& b) {
-    if (is_virtual_block(b)) b = geo_.data_start;
-  };
-  for (auto& b : masked.direct) mask(b);
-  mask(masked.indirect);
-  mask(masked.dindirect);
-  return masked.validate(geo_);
-}
-
 DiskInode ShadowFs::get_inode(Ino ino) {
   SHADOW_CHECK(geo_.ino_valid(ino), "inode number out of range");
   auto table = read_block(geo_.inode_block(ino));
@@ -210,15 +174,6 @@ DiskInode ShadowFs::get_inode(Ino ino) {
   Result<DiskInode> inode = [&]() -> Result<DiskInode> {
     if (checks_level_ == ShadowCheckLevel::kNone) {
       return DiskInode::decode_raw(slot);
-    }
-    if (defer_allocs_) {
-      // Same strictness as inode_from_table_block, but virtual block
-      // pointers written by this shard are masked for the validation.
-      auto raw = DiskInode::decode_raw(slot);
-      if (raw.ok() && !validate_inode(raw.value()).ok()) {
-        return Errno::kCorrupt;
-      }
-      return raw;
     }
     return inode_from_table_block(table, geo_.inode_slot(ino), geo_);
   }();
@@ -232,7 +187,7 @@ DiskInode ShadowFs::get_inode(Ino ino) {
 
 void ShadowFs::put_inode(Ino ino, const DiskInode& inode) {
   SHADOW_CHECK(geo_.ino_valid(ino), "inode number out of range");
-  check(validate_inode(inode).ok(), "refusing to write an invalid inode");
+  check(inode.validate(geo_).ok(), "refusing to write an invalid inode");
   modify_block(geo_.inode_block(ino), BlockClass::kFileData,
                [&](std::span<uint8_t> block) {
                  inode_into_table_block(block, geo_.inode_slot(ino), inode);
@@ -316,15 +271,6 @@ void ShadowFs::free_inode(Ino ino) {
 }
 
 Result<BlockNo> ShadowFs::alloc_block(BlockClass cls) {
-  if (defer_allocs_) {
-    // Virtual allocation: no bitmap write, no free-count bookkeeping (the
-    // linearization pass re-checks space in sequence order and detects
-    // the kNoSpace the serial execution would have hit).
-    BlockNo vid = next_virtual_id_++;
-    alloc_events_.push_back(AllocEvent{current_seq_, true, vid});
-    write_block(vid, std::vector<uint8_t>(kBlockSize, 0), cls);
-    return vid;
-  }
   if (free_blocks_ == 0) return Errno::kNoSpace;
   // First-fit over the data region, scanning whole bitmap blocks.
   for (uint64_t bm = geo_.data_start / kBitsPerBlock;
@@ -347,46 +293,11 @@ Result<BlockNo> ShadowFs::alloc_block(BlockClass cls) {
 }
 
 void ShadowFs::free_block(BlockNo block) {
-  if (defer_allocs_) {
-    if (is_virtual_block(block)) {
-      // A virtual block's overlay entry is its entire existence.
-      check(overlay_.count(block) > 0, "double free of block");
-    } else {
-      check(geo_.is_data_block(block), "freeing a non-data block");
-      // The bitmap is never overlaid in deferred mode, so the device bit
-      // only proves the block was allocated before the log began; repeats
-      // within this shard are caught by the freed_real_ set.
-      check(bitmap_get(geo_.block_bitmap_start, block),
-            "double free of block");
-      check(freed_real_.insert(block).second, "double free of block");
-    }
-    alloc_events_.push_back(AllocEvent{current_seq_, false, block});
-    overlay_.erase(block);
-    return;
-  }
   check(geo_.is_data_block(block), "freeing a non-data block");
   check(bitmap_get(geo_.block_bitmap_start, block), "double free of block");
   bitmap_put(geo_.block_bitmap_start, block, false);
   ++free_blocks_;
   overlay_.erase(block);
-}
-
-void ShadowFs::enable_deferred_alloc(BlockNo first_virtual_id) {
-  SHADOW_CHECK(is_virtual_block(first_virtual_id),
-               "virtual id range below kVirtualBlockBase");
-  defer_allocs_ = true;
-  next_virtual_id_ = first_virtual_id;
-}
-
-std::map<BlockNo, ShadowFs::OverlayBlock> ShadowFs::take_overlay() {
-  SHADOW_CHECK(rodev_.refused_writes() == 0,
-               "shadow attempted a device write");
-  return std::move(overlay_);
-}
-
-void ShadowFs::preload_overlay(std::map<BlockNo, OverlayBlock> overlay) {
-  SHADOW_CHECK(!opened_, "preload_overlay after open");
-  overlay_ = std::move(overlay);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,9 +323,7 @@ Result<BlockNo> ShadowFs::map_block(DiskInode* inode, uint64_t file_block,
                  });
   };
   auto check_ptr = [&](BlockNo b, const char* what) {
-    check(b == 0 || geo_.is_data_block(b) ||
-              (defer_allocs_ && is_virtual_block(b)),
-          what);
+    check(b == 0 || geo_.is_data_block(b), what);
   };
 
   if (file_block < kNumDirect) {
@@ -547,8 +456,6 @@ Status ShadowFs::free_file_blocks(DiskInode* inode, uint64_t keep_blocks) {
 // ---------------------------------------------------------------------------
 
 std::vector<InstallBlock> ShadowFs::seal() {
-  SHADOW_CHECK(!defer_allocs_,
-               "seal in deferred-allocation mode (use take_overlay)");
   if (checks_level_ == ShadowCheckLevel::kExtensive) {
     validate_overlay_extensive();
   }

@@ -8,7 +8,10 @@
 //     modified during this recovery;
 //   - synchronous reads directly from the device, through a read-only
 //     view -- the shadow NEVER writes to the device. Its entire output is
-//     the overlay (dirty-block set) handed back to the base;
+//     the overlay (dirty-block set) handed back to the base. With replay
+//     read-ahead on, that device is a prefetched read-only snapshot
+//     (blockdev/prefetch.h): a copy of the device, not a cache, so every
+//     access is still decoded and validated;
 //   - no journal, no crash-consistency logic: completed sync operations
 //     are already on disk (they are the shadow's input) and incomplete
 //     ones are re-issued by the rebooted base after hand-off.
@@ -21,7 +24,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <string_view>
 #include <vector>
 
@@ -94,55 +96,11 @@ class ShadowFs {
   uint64_t free_blocks() const { return free_blocks_; }
   uint64_t free_inodes() const { return free_inodes_; }
 
-  // --- deferred allocation (parallel replay support) --------------------
-  // In deferred-allocation mode (shadow_parallel.cc) the shadow does not
-  // pick real block numbers: alloc_block hands out *virtual* ids and
-  // records an allocation event, free_block records a free event, and the
-  // block bitmap is never written. A serial linearization pass later
-  // replays the merged event stream of all shards in sequence order
-  // against the real bitmap with the same first-fit policy the serial
-  // shadow uses, which reproduces the serial execution's exact block
-  // assignment. Inode allocation stays real (constrained replay forces
-  // the base's recorded ino anyway).
-
+ private:
   struct OverlayBlock {
     std::vector<uint8_t> data;
     BlockClass cls = BlockClass::kFileData;
   };
-
-  struct AllocEvent {
-    Seq seq = 0;          // op being executed when the event fired
-    bool is_alloc = true;
-    BlockNo block = 0;    // virtual id for allocs; virtual or real for frees
-  };
-
-  /// Virtual ids live far above any real block number (total_blocks is
-  /// bounded by device size; 2^40 blocks = 4 PiB).
-  static constexpr BlockNo kVirtualBlockBase = BlockNo{1} << 40;
-  static bool is_virtual_block(BlockNo b) { return b >= kVirtualBlockBase; }
-
-  /// Enter deferred-allocation mode; `first_virtual_id` must be >=
-  /// kVirtualBlockBase (each shard gets a disjoint id range).
-  void enable_deferred_alloc(BlockNo first_virtual_id);
-  /// Tag subsequent alloc/free events with the op's sequence number.
-  void set_current_seq(Seq seq) { current_seq_ = seq; }
-  const std::vector<AllocEvent>& alloc_events() const { return alloc_events_; }
-  /// Surrender the raw overlay (no seal-time validation; the parallel
-  /// driver validates the merged result on a fresh instance instead).
-  std::map<BlockNo, OverlayBlock> take_overlay();
-  /// Seed the overlay before open(), so open-time validation and the free
-  /// counters see the preloaded blocks (read_block is overlay-first).
-  void preload_overlay(std::map<BlockNo, OverlayBlock> overlay);
-
-  /// Shard-mode open: superblock + geometry only, skipping the image
-  /// pre-validation / free-counter scan. Only legal in deferred mode,
-  /// where the free counters are unused and the parallel driver runs the
-  /// open-time image validation once for all shards (concurrently with
-  /// them) instead of once per shard.
-  void open_unvalidated();
-
- private:
-  friend class ShadowFsTestPeer;
 
   // -- checked block access ----------------------------------------------
   /// Read through the overlay; device reads are counted and validated.
@@ -156,9 +114,6 @@ class ShadowFs {
   void check(bool cond, const char* what);
   void check_extensive(bool cond, const char* what);
   Nanos block_access_cost() const;
-  /// Inode validation that tolerates virtual block pointers in deferred
-  /// mode (they are masked to a data-region block for the check).
-  Status validate_inode(const DiskInode& inode) const;
 
   // -- checked object access ----------------------------------------------
   DiskInode get_inode(Ino ino);
@@ -207,13 +162,6 @@ class ShadowFs {
   uint64_t checks_ = 0;
   uint64_t free_blocks_ = 0;  // tracked for extensive cross-checks
   uint64_t free_inodes_ = 0;
-
-  // Deferred-allocation state (see comment above).
-  bool defer_allocs_ = false;
-  BlockNo next_virtual_id_ = 0;
-  Seq current_seq_ = 0;
-  std::vector<AllocEvent> alloc_events_;
-  std::set<BlockNo> freed_real_;  // double-free detection for real blocks
 };
 
 }  // namespace raefs

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "blockdev/qdepth_probe.h"
 #include "common/panic.h"
+#include "format/footprint.h"
 #include "obs/flight_recorder.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -104,8 +106,9 @@ OpOutcome shadow_apply_op(ShadowFs& fs, const OpRequest& req,
   return out;
 }
 
-std::string shadow_describe_mismatch(const OpRecord& rec,
-                                     const OpOutcome& replayed) {
+namespace {
+
+std::string describe_mismatch(const OpRecord& rec, const OpOutcome& replayed) {
   std::ostringstream os;
   os << "op " << rec.seq << " (" << rec.req.describe() << "): base {err="
      << to_string(rec.out.err) << " ino=" << rec.out.assigned_ino
@@ -115,7 +118,9 @@ std::string shadow_describe_mismatch(const OpRecord& rec,
   return os.str();
 }
 
-bool shadow_outcomes_agree(const OpRecord& rec, const OpOutcome& replayed) {
+/// Constrained-mode cross-check: does the shadow's re-execution outcome
+/// match what the application was shown?
+bool outcomes_agree(const OpRecord& rec, const OpOutcome& replayed) {
   if (rec.out.err != replayed.err) return false;
   if (rec.out.err != Errno::kOk) return true;  // both failed identically
   if (rec.out.assigned_ino != replayed.assigned_ino) return false;
@@ -126,14 +131,23 @@ bool shadow_outcomes_agree(const OpRecord& rec, const OpOutcome& replayed) {
   return true;
 }
 
+}  // namespace
+
 ShadowOutcome shadow_execute(BlockDevice* dev,
                              const std::vector<OpRecord>& log,
                              const ShadowConfig& config, SimClockPtr clock) {
   ShadowOutcome outcome;
   Nanos start = clock ? clock->now() : 0;
   obs::TraceSpan span(obs::kSpanShadowReplay, clock.get());
+  const uint32_t workers = resolve_workers(config.replay_workers, dev);
   obs::flight().record(obs::Component::kShadow, "replay.begin", "", start,
-                       log.size());
+                       log.size(), workers);
+  std::unique_ptr<PrefetchedDevice> snapshot;
+  if (workers > 1) {
+    obs::TraceSpan ps(obs::kSpanShadowReplayPrefetch, clock.get(), span.id());
+    snapshot = prefetch_metadata(dev, workers);
+    dev = snapshot.get();
+  }
   ShadowFs fs(dev, config.checks, clock);
   try {
     fs.open();
@@ -159,9 +173,9 @@ ShadowOutcome shadow_execute(BlockDevice* dev,
         OpOutcome replayed =
             shadow_apply_op(fs, rec.req, rec.out.assigned_ino);
         ++outcome.ops_replayed;
-        if (!shadow_outcomes_agree(rec, replayed)) {
+        if (!outcomes_agree(rec, replayed)) {
           outcome.discrepancies.push_back(
-              Discrepancy{rec.seq, shadow_describe_mismatch(rec, replayed)});
+              Discrepancy{rec.seq, describe_mismatch(rec, replayed)});
           if (!config.continue_on_discrepancy) {
             outcome.failure = "fatal discrepancy: " +
                               outcome.discrepancies.back().description;

@@ -13,6 +13,12 @@
 //     the result for the supervisor to deliver.
 // The shadow never executes fsync/sync: completed syncs are already on
 // disk; an in-flight sync is re-issued by the rebooted base (§3.3).
+//
+// Replay itself is always serial. Parallelism only reads ahead: with
+// replay_workers > 1 the image's metadata footprint (format/footprint.h)
+// is fetched by that many concurrent readers into a read-only device
+// snapshot, and the unchanged serial replay runs over it, still decoding
+// and validating every block it reads.
 #pragma once
 
 #include <optional>
@@ -29,11 +35,11 @@ struct ShadowConfig {
   /// Paper: "Discrepancies in output are reported; whether or not to
   /// continue can be configured."
   bool continue_on_discrepancy = true;
-  /// Worker threads for the parallel op-sequence replay
-  /// (shadow_parallel.h); 1 selects the serial reference executor and 0
-  /// means auto (derive the count from the device's probed effective
-  /// queue depth, blockdev/qdepth_probe.h). Any value produces a
-  /// byte-identical dirty set.
+  /// Read-ahead fan-out: concurrent device reads that fetch the metadata
+  /// footprint before the serial replay runs. 1 reads the device directly
+  /// (the reference path) and 0 means auto (derive the count from the
+  /// device's probed effective queue depth, blockdev/qdepth_probe.h). Any
+  /// value produces an identical outcome.
   uint32_t replay_workers = 1;
 };
 
@@ -79,12 +85,5 @@ ShadowOutcome shadow_execute(BlockDevice* dev,
                              const std::vector<OpRecord>& log,
                              const ShadowConfig& config,
                              SimClockPtr clock = nullptr);
-
-/// Constrained-mode cross-check: does the shadow's re-execution outcome
-/// match what the application was shown? (Shared with the parallel
-/// replay driver.)
-bool shadow_outcomes_agree(const OpRecord& rec, const OpOutcome& replayed);
-std::string shadow_describe_mismatch(const OpRecord& rec,
-                                     const OpOutcome& replayed);
 
 }  // namespace raefs

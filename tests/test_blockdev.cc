@@ -1,5 +1,6 @@
 // Block-device substrate tests: memory device semantics, volatile-cache
-// crash behaviour, fault injection, read-only shadow view, async layer.
+// crash behaviour, fault injection, read-only shadow view, async layer,
+// the recovery read-ahead snapshot.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include "blockdev/fault_device.h"
 #include "blockdev/file_device.h"
 #include "blockdev/mem_device.h"
+#include "blockdev/prefetch.h"
 #include "blockdev/qdepth_probe.h"
 #include "common/panic.h"
 
@@ -550,6 +552,77 @@ TEST(QdepthProbe, ProbeOnlyReads) {
   EXPECT_FALSE(dev.crashed()) << "the probe wrote to the device";
   EXPECT_EQ(dev.writes_seen(), 0u);
   clear_queue_depth_cache();
+}
+
+// ---------------------------------------------------------------------
+// Read-ahead snapshot: the one prefetch primitive of the recovery phases.
+// ---------------------------------------------------------------------
+
+TEST(Prefetch, ServesFetchedBlocksAndPassesTheRestThrough) {
+  MemBlockDevice dev(64);
+  for (BlockNo b : {3, 5, 7}) {
+    ASSERT_TRUE(dev.write_block(b, filled(static_cast<uint8_t>(b))).ok());
+  }
+  // Duplicates are fetched once; out-of-range blocks are never held.
+  std::vector<BlockNo> want{5, 3, 5, 999};
+  auto snap = prefetch(&dev, want, 4);
+  EXPECT_EQ(dev.stats().reads.load(), 2u);
+  ASSERT_NE(snap->find(3), nullptr);
+  ASSERT_NE(snap->find(5), nullptr);
+  EXPECT_EQ(snap->find(7), nullptr);
+  EXPECT_EQ(snap->find(999), nullptr);
+
+  // A snapshot: later device writes do not reach fetched blocks, and
+  // reading them costs no device read.
+  ASSERT_TRUE(dev.write_block(3, filled(0xEE)).ok());
+  std::vector<uint8_t> out(kBlockSize);
+  ASSERT_TRUE(snap->read_block(3, out).ok());
+  EXPECT_EQ(out, filled(3));
+  EXPECT_EQ(dev.stats().reads.load(), 2u);
+  ASSERT_TRUE(snap->read_block(7, out).ok());
+  EXPECT_EQ(out, filled(7));
+  EXPECT_EQ(dev.stats().reads.load(), 3u);
+}
+
+TEST(Prefetch, RefusesWrites) {
+  MemBlockDevice dev(16);
+  std::vector<BlockNo> want{1, 2};
+  auto snap = prefetch(&dev, want, 2);
+  EXPECT_EQ(snap->write_block(1, filled(0x11)).error(), Errno::kRoFs);
+  EXPECT_EQ(snap->write_block(9, filled(0x11)).error(), Errno::kRoFs);
+  EXPECT_EQ(snap->flush().error(), Errno::kRoFs);
+  EXPECT_EQ(dev.stats().writes.load(), 0u);
+  EXPECT_EQ(dev.stats().flushes.load(), 0u);
+  std::vector<uint8_t> out(kBlockSize);
+  ASSERT_TRUE(snap->read_block(1, out).ok());
+  EXPECT_EQ(out, filled(0));
+}
+
+TEST(Prefetch, FailedReadIsNotHeldAndFallsThrough) {
+  // The read-ahead is advisory: a block whose fetch failed is left to the
+  // consumer's own read, which sees whatever the device does then.
+  MemBlockDevice mem(32);
+  ASSERT_TRUE(mem.write_block(4, filled(0x44)).ok());
+  FaultBlockDevice dev(&mem);
+  dev.arm_read_error_at(0);
+  std::vector<BlockNo> want{4};
+  auto snap = prefetch(&dev, want, 1);
+  EXPECT_EQ(snap->find(4), nullptr);
+  std::vector<uint8_t> out(kBlockSize);
+  ASSERT_TRUE(snap->read_block(4, out).ok());
+  EXPECT_EQ(out, filled(0x44));
+  EXPECT_EQ(dev.reads_seen(), 2u);
+}
+
+TEST(Prefetch, FetchExtendsTheSnapshot) {
+  MemBlockDevice dev(32);
+  std::vector<BlockNo> first{1, 2};
+  auto snap = prefetch(&dev, first, 3);
+  const uint64_t reads = dev.stats().reads.load();
+  std::vector<BlockNo> second{2, 3, 4};
+  snap->fetch(second);
+  for (BlockNo b : {1, 2, 3, 4}) EXPECT_NE(snap->find(b), nullptr) << b;
+  EXPECT_EQ(dev.stats().reads.load(), reads + 2);  // block 2 not re-read
 }
 
 }  // namespace

@@ -192,6 +192,30 @@ TEST_F(RaeTest, SilentCorruptionDetectedAtSyncAndRecovered) {
   EXPECT_TRUE(report.value().consistent()) << report.value().summary();
 }
 
+TEST_F(RaeTest, ShutdownRecoversFromPanicInFinalSync) {
+  // No explicit sync: validate-on-sync first sees the corruption in
+  // unmount's own sync. shutdown() must trap that panic as sync() does.
+  BugRegistry bugs;
+  bugs.install(bugs::make(bugs::kSymlinkBitmapCorrupt));
+  auto sup = start(&bugs);
+  ASSERT_TRUE(sup->symlink("/l", "/target").ok());  // corrupts silently
+  Status st = sup->shutdown();
+  ASSERT_TRUE(st.ok()) << to_string(st.error());
+  EXPECT_EQ(sup->stats().recoveries, 1u);
+  EXPECT_FALSE(sup->offline()) << sup->offline_reason();
+
+  {
+    auto fs = std::move(BaseFs::mount(t.device.get(), {}, t.clock)).value();
+    auto target = fs->readlink("/l");
+    ASSERT_TRUE(target.ok());
+    EXPECT_EQ(target.value(), "/target");
+    ASSERT_TRUE(fs->unmount().ok());
+  }
+  auto report = fsck(t.device.get(), FsckLevel::kStrict);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().clean()) << report.value().summary();
+}
+
 TEST_F(RaeTest, RecoveryPreservesDataAcrossManyPriorOps) {
   BugRegistry bugs;
   bugs.install(bugs::make(bugs::kLargeDirPanic));

@@ -1,9 +1,9 @@
-// Parallel recovery differential tests: every parallel phase of the
-// recovery pipeline (journal replay, shadow op-sequence replay, fsck)
-// must be byte-equivalent to its serial reference at any worker count,
-// on clean logs, on crashx-generated dirty images, and across a
-// mid-recovery power cut. The ScalingSmoke* tests double as the CI
-// recovery_scaling_smoke target (small image, 1 vs 4 workers).
+// Parallel recovery differential tests: every recovery phase that fans
+// out across workers (journal replay, the shadow replay's read-ahead,
+// fsck, the bulk install) must be byte-equivalent to its serial reference
+// at any worker count, on clean logs, on crashx-generated dirty images,
+// and across a mid-recovery power cut. The ScalingSmoke* tests double as
+// the CI recovery_scaling_smoke target (small image, 1 vs 4 workers).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,13 +14,10 @@
 #include "crashx/ops.h"
 #include "faults/bug_library.h"
 #include "format/layout.h"
+#include "fsck/crafted.h"
 #include "fsck/fsck.h"
 #include "journal/journal.h"
-#include "obs/metrics.h"
-#include "obs/names.h"
-#include "oplog/dep_graph.h"
 #include "rae/supervisor.h"
-#include "shadowfs/shadow_parallel.h"
 #include "shadowfs/shadow_replay.h"
 #include "tests/support/fixtures.h"
 
@@ -229,18 +226,119 @@ TEST(JournalParallel, PowerCutMidReplayIsIdempotent) {
 }
 
 // ---------------------------------------------------------------------
-// Shadow replay: parallel dirty set must equal the serial dirty set.
+// Shadow replay: the read-ahead must be invisible. Replay is serial at
+// every replay_workers; only the device under it changes.
 // ---------------------------------------------------------------------
 
-/// Base image with preexisting directories plus an op log recorded
-/// against it (assigned inos taken from a real BaseFs run on a clone, so
-/// the constrained cross-checks agree).
+/// A log recorded against an image the way the supervisor records one:
+/// every op runs on a throwaway clone through a real BaseFs, so the logged
+/// outcomes are exactly what the base returned.
 struct RecordedScenario {
   std::unique_ptr<MemBlockDevice> device;
   std::vector<OpRecord> log;
 };
 
-RecordedScenario record_scenario() {
+/// Record ops over `dirs` directories named `prefix`0.. (created by the
+/// log itself when `mkdirs`): a file per directory, written, some renamed
+/// or hard-linked. The first file grows past the direct pointers, so the
+/// log reaches indirect blocks. One in-flight op ends the log; with
+/// `inflight_mid_log` another sits halfway through it.
+std::vector<OpRecord> record_ops(const MemBlockDevice& image,
+                                 const std::string& prefix, int dirs,
+                                 bool mkdirs, bool inflight_mid_log = false) {
+  std::vector<OpRecord> log;
+  auto rec_dev = image.clone_full();
+  auto fs = std::move(BaseFs::mount(rec_dev.get(), {}, nullptr)).value();
+  Seq seq = 1;
+  auto push = [&](OpRequest req, OpOutcome out, bool completed = true) {
+    OpRecord rec;
+    rec.seq = seq++;
+    rec.req = std::move(req);
+    rec.out = std::move(out);
+    rec.completed = completed;
+    log.push_back(std::move(rec));
+  };
+  auto ok = [](Ino assigned = kInvalidIno) {
+    OpOutcome o;
+    o.err = Errno::kOk;
+    o.assigned_ino = assigned;
+    return o;
+  };
+  Ino first_file = kInvalidIno;
+  for (int d = 0; d < dirs; ++d) {
+    std::string dir = prefix + std::to_string(d);
+    if (mkdirs) {
+      auto ino = fs->mkdir(dir, 0755);
+      EXPECT_TRUE(ino.ok());
+      OpRequest m;
+      m.kind = OpKind::kMkdir;
+      m.path = dir;
+      m.mode = 0755;
+      push(std::move(m), ok(ino.value()));
+    }
+    std::string f = dir + "/f";
+    auto ino = fs->create(f, 0644);
+    EXPECT_TRUE(ino.ok());
+    OpRequest c;
+    c.kind = OpKind::kCreate;
+    c.path = f;
+    c.mode = 0644;
+    push(std::move(c), ok(ino.value()));
+    if (d == 0) first_file = ino.value();
+
+    size_t len = d == 0 ? 14 * kBlockSize : 3000 + 500 * d;
+    auto data = pattern_bytes(len, static_cast<uint8_t>(d + 1));
+    auto wrote = fs->write(ino.value(), 0, 0, data);
+    EXPECT_TRUE(wrote.ok());
+    OpRequest w;
+    w.kind = OpKind::kWrite;
+    w.ino = ino.value();
+    w.offset = 0;
+    w.data = data;
+    OpOutcome wo = ok();
+    wo.result_len = wrote.value();
+    push(std::move(w), wo);
+
+    if (d % 2 == 0) {
+      std::string g = dir + "/renamed";
+      EXPECT_TRUE(fs->rename(f, g).ok());
+      OpRequest r;
+      r.kind = OpKind::kRename;
+      r.path = f;
+      r.path2 = g;
+      push(std::move(r), ok());
+    }
+    if (d % 3 == 0) {
+      std::string h = dir + "/link";
+      std::string target = (d % 2 == 0) ? dir + "/renamed" : f;
+      EXPECT_TRUE(fs->link(target, h).ok());
+      OpRequest l;
+      l.kind = OpKind::kLink;
+      l.path = target;
+      l.path2 = h;
+      push(std::move(l), ok());
+    }
+    if (inflight_mid_log && d == dirs / 2) {
+      // The base died inside this write; later ops never saw its effect.
+      OpRequest w2;
+      w2.kind = OpKind::kWrite;
+      w2.ino = first_file;
+      w2.offset = 13 * kBlockSize + 100;
+      w2.data = pattern_bytes(6000, 0x5A);
+      push(std::move(w2), {}, /*completed=*/false);
+    }
+  }
+  // A trailing in-flight op exercises the autonomous tail.
+  OpRequest pending;
+  pending.kind = OpKind::kCreate;
+  pending.path = prefix + "0/pending";
+  pending.mode = 0644;
+  push(std::move(pending), {}, /*completed=*/false);
+  return log;
+}
+
+/// Eight preexisting directories on a larger image plus a log over them.
+RecordedScenario record_scenario(bool inflight_mid_log = false) {
   RecordedScenario s;
   TestFsOptions big;
   big.total_blocks = 8192;
@@ -254,87 +352,24 @@ RecordedScenario record_scenario() {
     EXPECT_TRUE(fs->unmount().ok());
   }
   s.device = std::move(t.device);
-
-  // Record pass on a throwaway clone: the log's outcomes are exactly
-  // what the base observed.
-  auto rec_dev = s.device->clone_full();
-  auto fs = std::move(BaseFs::mount(rec_dev.get(), {}, nullptr)).value();
-  Seq seq = 1;
-  auto push = [&](OpRequest req, OpOutcome out, bool completed = true) {
-    OpRecord rec;
-    rec.seq = seq++;
-    rec.req = std::move(req);
-    rec.out = std::move(out);
-    rec.completed = completed;
-    s.log.push_back(std::move(rec));
-  };
-  for (int d = 0; d < 8; ++d) {
-    std::string dir = "/d" + std::to_string(d);
-    std::string f = dir + "/f";
-    auto ino = fs->create(f, 0644);
-    EXPECT_TRUE(ino.ok());
-    OpRequest c;
-    c.kind = OpKind::kCreate;
-    c.path = f;
-    c.mode = 0644;
-    OpOutcome co;
-    co.err = Errno::kOk;
-    co.assigned_ino = ino.value();
-    push(std::move(c), co);
-
-    auto data = pattern_bytes(3000 + 500 * d, static_cast<uint8_t>(d + 1));
-    auto wrote = fs->write(ino.value(), 0, 0, data);
-    EXPECT_TRUE(wrote.ok());
-    OpRequest w;
-    w.kind = OpKind::kWrite;
-    w.ino = ino.value();
-    w.offset = 0;
-    w.data = data;
-    OpOutcome wo;
-    wo.err = Errno::kOk;
-    wo.result_len = wrote.value();
-    push(std::move(w), wo);
-
-    if (d % 2 == 0) {
-      std::string g = dir + "/renamed";
-      EXPECT_TRUE(fs->rename(f, g).ok());
-      OpRequest r;
-      r.kind = OpKind::kRename;
-      r.path = f;
-      r.path2 = g;
-      OpOutcome ro;
-      ro.err = Errno::kOk;
-      push(std::move(r), ro);
-    }
-    if (d % 3 == 0) {
-      std::string h = dir + "/link";
-      std::string target = (d % 2 == 0) ? dir + "/renamed" : f;
-      EXPECT_TRUE(fs->link(target, h).ok());
-      OpRequest l;
-      l.kind = OpKind::kLink;
-      l.path = target;
-      l.path2 = h;
-      OpOutcome lo;
-      lo.err = Errno::kOk;
-      push(std::move(l), lo);
-    }
-  }
-  // A trailing in-flight op exercises the autonomous tail.
-  OpRequest pending;
-  pending.kind = OpKind::kCreate;
-  pending.path = "/d0/pending";
-  pending.mode = 0644;
-  push(std::move(pending), {}, /*completed=*/false);
+  s.log = record_ops(*s.device, "/d", 8, /*mkdirs=*/false, inflight_mid_log);
   return s;
 }
 
 void expect_same_outcome(const ShadowOutcome& a, const ShadowOutcome& b) {
   ASSERT_EQ(a.ok, b.ok) << a.failure << " vs " << b.failure;
+  EXPECT_EQ(a.failure, b.failure);
   EXPECT_EQ(a.ops_replayed, b.ops_replayed);
   EXPECT_EQ(a.ops_skipped_errored, b.ops_skipped_errored);
   EXPECT_EQ(a.ops_skipped_sync, b.ops_skipped_sync);
+  EXPECT_EQ(a.device_reads, b.device_reads);
+  EXPECT_EQ(a.checks, b.checks);
   EXPECT_EQ(a.inflight_retry_syncs, b.inflight_retry_syncs);
-  EXPECT_EQ(a.discrepancies.size(), b.discrepancies.size());
+  ASSERT_EQ(a.discrepancies.size(), b.discrepancies.size());
+  for (size_t i = 0; i < a.discrepancies.size(); ++i) {
+    EXPECT_EQ(a.discrepancies[i].seq, b.discrepancies[i].seq);
+    EXPECT_EQ(a.discrepancies[i].description, b.discrepancies[i].description);
+  }
   ASSERT_EQ(a.inflight_results.size(), b.inflight_results.size());
   for (size_t i = 0; i < a.inflight_results.size(); ++i) {
     EXPECT_EQ(a.inflight_results[i].first, b.inflight_results[i].first);
@@ -342,6 +377,10 @@ void expect_same_outcome(const ShadowOutcome& a, const ShadowOutcome& b) {
               b.inflight_results[i].second.err);
     EXPECT_EQ(a.inflight_results[i].second.assigned_ino,
               b.inflight_results[i].second.assigned_ino);
+    EXPECT_EQ(a.inflight_results[i].second.result_len,
+              b.inflight_results[i].second.result_len);
+    EXPECT_EQ(a.inflight_results[i].second.payload,
+              b.inflight_results[i].second.payload);
   }
   ASSERT_EQ(a.dirty.size(), b.dirty.size());
   for (size_t i = 0; i < a.dirty.size(); ++i) {
@@ -352,105 +391,167 @@ void expect_same_outcome(const ShadowOutcome& a, const ShadowOutcome& b) {
   }
 }
 
-TEST(ShadowParallel, MatchesSerialAcrossWorkerCounts) {
-  auto s = record_scenario();
-  // The scenario is genuinely parallelizable (else this test would only
-  // exercise the single-component serial delegation).
-  auto graph = build_op_dependency_graph(s.log);
-  ASSERT_GT(graph.components.size(), 1u);
+ShadowOutcome replay_with(BlockDevice* dev, const std::vector<OpRecord>& log,
+                          uint32_t workers) {
+  ShadowConfig config;
+  config.replay_workers = workers;
+  return shadow_execute(dev, log, config);
+}
 
-  auto serial = shadow_execute(s.device.get(), s.log, {});
-  ASSERT_TRUE(serial.ok) << serial.failure;
-  ASSERT_FALSE(serial.dirty.empty());
-
+/// Replay `log` over `image` reading the device directly and at every
+/// read-ahead fan-out: identical outcome, identical installed image.
+/// Returns the direct (reference) outcome.
+ShadowOutcome expect_fanout_invisible(MemBlockDevice* image,
+                                      const std::vector<OpRecord>& log) {
+  ShadowOutcome direct = replay_with(image, log, 1);
+  auto img_direct = image->clone_full();
+  install(img_direct.get(), direct.dirty);
   for (uint32_t workers : {2u, 4u, 8u}) {
-    ShadowConfig config;
-    config.replay_workers = workers;
-    uint64_t fallbacks_before =
-        obs::metrics().counter(obs::kMShadowParallelFallbacks).value();
-    auto par = shadow_execute_parallel(s.device.get(), s.log, config);
-    // The clean log must go down the parallel path, not the fallback.
-    EXPECT_EQ(obs::metrics().counter(obs::kMShadowParallelFallbacks).value(),
-              fallbacks_before)
-        << "workers=" << workers;
-    expect_same_outcome(serial, par);
+    SCOPED_TRACE("replay_workers=" + std::to_string(workers));
+    ShadowOutcome ahead = replay_with(image, log, workers);
+    expect_same_outcome(direct, ahead);
+    auto img_ahead = image->clone_full();
+    install(img_ahead.get(), ahead.dirty);
+    EXPECT_EQ(image_of(*img_direct), image_of(*img_ahead));
+  }
+  return direct;
+}
 
-    // Byte-equivalent post-recovery image, the ISSUE's acceptance bar.
-    auto img_serial = s.device->clone_full();
-    auto img_par = s.device->clone_full();
-    install(img_serial.get(), serial.dirty);
-    install(img_par.get(), par.dirty);
-    EXPECT_EQ(image_of(*img_serial), image_of(*img_par))
-        << "workers=" << workers;
+TEST(ShadowReadAhead, RecordedScenarioIdenticalAtEveryFanout) {
+  auto s = record_scenario();
+  auto direct = expect_fanout_invisible(s.device.get(), s.log);
+  ASSERT_TRUE(direct.ok) << direct.failure;
+  EXPECT_FALSE(direct.dirty.empty());
+  EXPECT_TRUE(direct.discrepancies.empty());
+}
+
+TEST(ShadowReadAhead, MidLogInflightOpIdenticalAtEveryFanout) {
+  auto s = record_scenario(/*inflight_mid_log=*/true);
+  auto direct = expect_fanout_invisible(s.device.get(), s.log);
+  ASSERT_TRUE(direct.ok) << direct.failure;
+  EXPECT_EQ(direct.inflight_results.size(), 2u);
+}
+
+TEST(ShadowReadAhead, CrashImagesIdenticalAtEveryFanout) {
+  Geometry geo = test_geometry();
+  for (uint64_t k : {5u, 13u, 29u, 61u}) {
+    SCOPED_TRACE("crash point " + std::to_string(k));
+    auto dirty = make_dirty_image(/*seed=*/1234, k);
+    ASSERT_TRUE(Journal::replay(dirty.get(), geo).ok());
+    auto log = record_ops(*dirty, "/rx", 4, /*mkdirs=*/true);
+    auto direct = expect_fanout_invisible(dirty.get(), log);
+    EXPECT_TRUE(direct.ok) << direct.failure;
   }
 }
 
-TEST(ShadowParallel, SingleComponentDelegatesToSerial) {
-  // mkdir-then-populate collapses to one component; the parallel entry
-  // point must produce the serial result (and not count a fallback --
-  // one component is the planner's normal answer for this shape).
-  auto t = make_test_device();
-  std::vector<OpRecord> log;
-  Seq seq = 1;
-  auto push = [&](OpKind kind, std::string path, Ino assigned) {
-    OpRecord rec;
-    rec.seq = seq++;
-    rec.req.kind = kind;
-    rec.req.path = std::move(path);
-    rec.req.mode = kind == OpKind::kMkdir ? 0755 : 0644;
-    rec.completed = true;
-    rec.out.err = Errno::kOk;
-    rec.out.assigned_ino = assigned;
-    log.push_back(std::move(rec));
-  };
-  push(OpKind::kMkdir, "/d", 2);
-  push(OpKind::kCreate, "/d/f", 3);
-  ASSERT_EQ(build_op_dependency_graph(log).components.size(), 1u);
-
-  ShadowConfig config;
-  config.replay_workers = 4;
-  auto serial = shadow_execute(t.device.get(), log, {});
-  auto par = shadow_execute_parallel(t.device.get(), log, config);
-  expect_same_outcome(serial, par);
+TEST(ShadowReadAhead, ReorderCrashImagesIdenticalAtEveryFanout) {
+  Geometry geo = test_geometry();
+  for (uint64_t f : {2u, 5u, 9u, 14u}) {
+    SCOPED_TRACE("flush " + std::to_string(f));
+    auto dirty = make_reorder_dirty_image(/*seed=*/1234, f);
+    ASSERT_TRUE(Journal::replay(dirty.get(), geo).ok());
+    auto log = record_ops(*dirty, "/rx", 4, /*mkdirs=*/true);
+    auto direct = expect_fanout_invisible(dirty.get(), log);
+    EXPECT_TRUE(direct.ok) << direct.failure;
+  }
 }
 
-TEST(ShadowParallel, InflightPrefixGoesSerialWithoutFallback) {
-  // An in-flight op wedged BEFORE completed mutating ops leaves the
-  // two-phase planner an empty parallel prefix: everything lands in the
-  // serial suffix, the driver delegates to the serial executor directly,
-  // and NO fallback is counted -- this is the plan, not a failure.
-  auto t = make_test_device();
-  std::vector<OpRecord> log;
-  OpRecord inflight;
-  inflight.seq = 1;
-  inflight.req.kind = OpKind::kCreate;
-  inflight.req.path = "/pending";
-  inflight.completed = false;
-  log.push_back(inflight);
-  OpRecord done;
-  done.seq = 2;
-  done.req.kind = OpKind::kCreate;
-  done.req.path = "/done";
-  done.completed = true;
-  done.out.err = Errno::kOk;
-  done.out.assigned_ino = 2;
-  log.push_back(done);
+/// The shadow's refusal gate must not move with the fan-out: same
+/// refusal, same reason.
+void expect_same_refusal(BlockDevice* dev, const std::vector<OpRecord>& log) {
+  ShadowOutcome direct = replay_with(dev, log, 1);
+  EXPECT_FALSE(direct.ok);
+  EXPECT_FALSE(direct.failure.empty());
+  ShadowOutcome ahead = replay_with(dev, log, 8);
+  EXPECT_FALSE(ahead.ok);
+  EXPECT_EQ(direct.failure, ahead.failure);
+  EXPECT_EQ(direct.device_reads, ahead.device_reads);
+}
 
-  auto split = plan_two_phase(log);
-  EXPECT_TRUE(split.parallel_prefix.empty());
-  ASSERT_EQ(split.serial_suffix.size(), 2u);
-  EXPECT_EQ(split.serial_suffix[0], 1u);
-  EXPECT_EQ(split.serial_suffix[1], 2u);
+/// A single in-flight readdir of the root: replay walks the root
+/// directory after the open-time image validation.
+std::vector<OpRecord> root_readdir_log() {
+  OpRecord rec;
+  rec.seq = 1;
+  rec.req.kind = OpKind::kReaddir;
+  rec.req.path = "/";
+  rec.completed = false;
+  return {rec};
+}
 
-  ShadowConfig config;
-  config.replay_workers = 4;
-  uint64_t before =
-      obs::metrics().counter(obs::kMShadowParallelFallbacks).value();
-  auto serial = shadow_execute(t.device.get(), log, {});
-  auto par = shadow_execute_parallel(t.device.get(), log, config);
-  EXPECT_EQ(obs::metrics().counter(obs::kMShadowParallelFallbacks).value(),
-            before);
-  expect_same_outcome(serial, par);
+TEST(ShadowReadAhead, CraftedImagesRefusedIdentically) {
+  // Walking the root refuses a bad dirent or a wild inode pointer; the
+  // dangling dirent and the directory cycle stay out of this walk's way,
+  // but must still replay identically.
+  struct Case {
+    CraftKind kind;
+    bool refused;
+  };
+  for (Case c : {Case{CraftKind::kBadDirentNameLen, true},
+                 Case{CraftKind::kWildInodePointer, true},
+                 Case{CraftKind::kDanglingDirent, false},
+                 Case{CraftKind::kDirCycleLink, false}}) {
+    SCOPED_TRACE(to_string(c.kind));
+    auto t = make_test_device();
+    {
+      auto fs = std::move(BaseFs::mount(t.device.get(), {}, t.clock)).value();
+      ASSERT_TRUE(fs->mkdir("/sub", 0755).ok());
+      ASSERT_TRUE(fs->create("/sub/f", 0644).ok());
+      ASSERT_TRUE(fs->unmount().ok());
+    }
+    ASSERT_TRUE(craft_image(t.device.get(), c.kind).ok());
+    auto log = root_readdir_log();
+    if (c.refused) {
+      expect_same_refusal(t.device.get(), log);
+    } else {
+      expect_same_outcome(replay_with(t.device.get(), log, 1),
+                          replay_with(t.device.get(), log, 8));
+    }
+  }
+}
+
+TEST(ShadowReadAhead, CorruptFootprintBlockRefusedIdentically) {
+  auto s = record_scenario();
+  Geometry geo = compute_geometry(8192, 1024, 128).value();
+  // Smash a byte inside the root inode's slot (inode-table block 0).
+  std::vector<uint8_t> block(kBlockSize);
+  ASSERT_TRUE(s.device->read_block(geo.inode_table_start, block).ok());
+  block[40] ^= 0xFF;
+  ASSERT_TRUE(s.device->write_block(geo.inode_table_start, block).ok());
+  expect_same_refusal(s.device.get(), s.log);
+}
+
+/// Fails every read of one block, from every thread.
+class UnreadableBlockDevice final : public BlockDevice {
+ public:
+  UnreadableBlockDevice(BlockDevice* inner, BlockNo bad)
+      : inner_(inner), bad_(bad) {}
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t block_count() const override { return inner_->block_count(); }
+  Status read_block(BlockNo block, std::span<uint8_t> out) override {
+    if (block == bad_) return Errno::kIo;
+    return inner_->read_block(block, out);
+  }
+  Status write_block(BlockNo block, std::span<const uint8_t> data) override {
+    return inner_->write_block(block, data);
+  }
+  Status flush() override { return inner_->flush(); }
+  const DeviceStats& stats() const override { return inner_->stats(); }
+
+ private:
+  BlockDevice* inner_;
+  BlockNo bad_;
+};
+
+TEST(ShadowReadAhead, UnreadableBlockRefusedIdentically) {
+  auto s = record_scenario();
+  Geometry geo = compute_geometry(8192, 1024, 128).value();
+  for (BlockNo bad : {BlockNo{0}, geo.inode_bitmap_start,
+                      geo.inode_table_start}) {
+    SCOPED_TRACE("unreadable block " + std::to_string(bad));
+    UnreadableBlockDevice dev(s.device.get(), bad);
+    expect_same_refusal(&dev, s.log);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -476,13 +577,15 @@ TEST(FsckParallel, MatchesSerialOnHealthyImage) {
     ASSERT_TRUE(fs->unmount().ok());
   }
   auto serial = fsck(t.device.get(), FsckLevel::kStrict);
-  FsckOptions opts;
-  opts.workers = 4;
-  auto par = fsck(t.device.get(), opts);
   ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(par.ok());
   EXPECT_TRUE(serial.value().consistent());
-  expect_same_report(serial.value(), par.value());
+  for (uint32_t workers : {4u, 8u}) {
+    FsckOptions opts;
+    opts.workers = workers;
+    auto par = fsck(t.device.get(), opts);
+    ASSERT_TRUE(par.ok());
+    expect_same_report(serial.value(), par.value());
+  }
 }
 
 TEST(FsckParallel, MatchesSerialOnDirtyCrashImages) {
@@ -491,12 +594,14 @@ TEST(FsckParallel, MatchesSerialOnDirtyCrashImages) {
   for (uint64_t k : {7u, 31u, 53u}) {
     auto dirty = make_dirty_image(/*seed=*/777, k);
     auto serial = fsck(dirty.get(), FsckLevel::kStrict);
-    FsckOptions opts;
-    opts.workers = 4;
-    auto par = fsck(dirty.get(), opts);
-    ASSERT_EQ(serial.ok(), par.ok()) << "crash point " << k;
-    if (!serial.ok()) continue;
-    expect_same_report(serial.value(), par.value());
+    for (uint32_t workers : {4u, 8u}) {
+      FsckOptions opts;
+      opts.workers = workers;
+      auto par = fsck(dirty.get(), opts);
+      ASSERT_EQ(serial.ok(), par.ok()) << "crash point " << k;
+      if (!serial.ok()) continue;
+      expect_same_report(serial.value(), par.value());
+    }
   }
 }
 
@@ -518,12 +623,15 @@ TEST(FsckParallel, MatchesSerialOnCorruptImage) {
   ASSERT_TRUE(t.device->write_block(geo.inode_table_start, block).ok());
 
   auto serial = fsck(t.device.get(), FsckLevel::kStrict);
-  FsckOptions opts;
-  opts.workers = 4;
-  auto par = fsck(t.device.get(), opts);
   ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(par.ok());
-  expect_same_report(serial.value(), par.value());
+  EXPECT_FALSE(serial.value().consistent());
+  for (uint32_t workers : {4u, 8u}) {
+    FsckOptions opts;
+    opts.workers = workers;
+    auto par = fsck(t.device.get(), opts);
+    ASSERT_TRUE(par.ok());
+    expect_same_report(serial.value(), par.value());
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -532,6 +640,9 @@ TEST(FsckParallel, MatchesSerialOnCorruptImage) {
 // ---------------------------------------------------------------------
 
 TEST(ParallelRecovery, SupervisorRecoversWithAllKnobsOn) {
+  // Several recoveries, each replaying a log that writes files past their
+  // direct pointers, so the shadow's output holds indirect blocks that
+  // the next sync's validation and the final strict fsck must accept.
   auto t = make_test_device();
   BugRegistry bugs;
   bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
@@ -539,26 +650,50 @@ TEST(ParallelRecovery, SupervisorRecoversWithAllKnobsOn) {
   opts.journal_replay_workers = 4;
   opts.fsck_workers = 4;
   opts.verify_after_recovery = true;
-  opts.shadow.replay_workers = 4;
+  opts.shadow.replay_workers = 8;
+  opts.base.install_workers = 4;
   auto started = RaeSupervisor::start(t.device.get(), opts, t.clock, &bugs);
   ASSERT_TRUE(started.ok());
   auto sup = std::move(started).value();
 
-  std::string trigger = "/" + std::string(54, 'x');
-  auto keep = sup->create("/keep", 0644);
-  ASSERT_TRUE(keep.ok());
-  ASSERT_TRUE(sup->write(keep.value(), 0, 0, pattern_bytes(3000, 7)).ok());
-  ASSERT_TRUE(sup->create(trigger, 0644).ok());
-  ASSERT_TRUE(sup->unlink(trigger).ok());
-
-  EXPECT_EQ(sup->stats().recoveries, 1u);
-  EXPECT_FALSE(sup->offline());
+  const std::string trigger = "/" + std::string(54, 'x');
+  const size_t big = 14 * kBlockSize;  // 12 direct + indirect
+  std::vector<Ino> files;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto ino = sup->create("/big" + std::to_string(round), 0644);
+    ASSERT_TRUE(ino.ok());
+    files.push_back(ino.value());
+    ASSERT_TRUE(sup->write(ino.value(), 0, 0,
+                           pattern_bytes(big, static_cast<uint8_t>(round)))
+                    .ok());
+    if (round > 0) {
+      // Rewrite the earlier file's indirect-mapped tail, unsynced.
+      ASSERT_TRUE(sup->write(files[round - 1], 0, 12 * kBlockSize,
+                             pattern_bytes(2 * kBlockSize, 0xA0 + round))
+                      .ok());
+    }
+    if (round == 2) {
+      ASSERT_TRUE(sup->sync().ok());
+    }
+    ASSERT_TRUE(sup->create(trigger, 0644).ok());
+    ASSERT_TRUE(sup->unlink(trigger).ok());
+    EXPECT_EQ(sup->stats().recoveries, static_cast<uint64_t>(round + 1));
+    EXPECT_FALSE(sup->offline()) << sup->offline_reason();
+    EXPECT_EQ(sup->lookup(trigger).error(), Errno::kNoEnt);
+  }
   EXPECT_GT(sup->stats().verify_ns, 0u);
-  // Post-recovery state is intact.
-  EXPECT_EQ(sup->lookup(trigger).error(), Errno::kNoEnt);
-  auto back = sup->read(keep.value(), 0, 0, 3000);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), pattern_bytes(3000, 7));
+
+  for (size_t i = 0; i < files.size(); ++i) {
+    auto want = pattern_bytes(big, static_cast<uint8_t>(i));
+    if (i + 1 < files.size()) {
+      auto tail = pattern_bytes(2 * kBlockSize, 0xA0 + i + 1);
+      std::copy(tail.begin(), tail.end(), want.begin() + 12 * kBlockSize);
+    }
+    auto back = sup->read(files[i], 0, 0, big);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), want) << "file " << i;
+  }
   ASSERT_TRUE(sup->shutdown().ok());
 
   auto report = fsck(t.device.get(), FsckLevel::kStrict);
@@ -748,10 +883,8 @@ TEST(ParallelRecovery, ScalingSmokeJournal) {
 
 TEST(ParallelRecovery, ScalingSmokeShadow) {
   auto s = record_scenario();
-  auto serial = shadow_execute(s.device.get(), s.log, {});
-  ShadowConfig config;
-  config.replay_workers = 4;
-  auto par = shadow_execute_parallel(s.device.get(), s.log, config);
+  auto serial = replay_with(s.device.get(), s.log, 1);
+  auto par = replay_with(s.device.get(), s.log, 4);
   ASSERT_TRUE(serial.ok) << serial.failure;
   expect_same_outcome(serial, par);
   auto img_serial = s.device->clone_full();
