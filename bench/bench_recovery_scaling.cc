@@ -14,7 +14,6 @@
 //
 // Recorded in BENCH_recovery.json (tools/bench_ab.py session); the
 // scaling table lives in EXPERIMENTS.md.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -24,12 +23,12 @@
 #include "basefs/base_fs.h"
 #include "bench/bench_support.h"
 #include "blockdev/mem_device.h"
+#include "blockdev/prefetch.h"
 #include "blockdev/qdepth_probe.h"
 #include "blockdev/timed_device.h"
 #include "format/layout.h"
 #include "fsck/fsck.h"
 #include "journal/journal.h"
-#include "common/worker_pool.h"
 #include "shadowfs/shadow_replay.h"
 #include "tests/support/fixtures.h"
 
@@ -165,6 +164,15 @@ double since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Write the shadow's output blocks in place across `workers` writers.
+Status install(BlockDevice* dev, const std::vector<InstallBlock>& dirty,
+               uint32_t workers) {
+  std::vector<BlockWrite> writes;
+  writes.reserve(dirty.size());
+  for (const auto& ib : dirty) writes.push_back({ib.block, ib.data});
+  return write_blocks(dev, writes, workers);
+}
+
 void BM_ShadowReplay(benchmark::State& state) {
   const auto& s = scenario();
   TimedBlockDevice timed(s.device.get(), RealLatency{});
@@ -283,24 +291,8 @@ void BM_RecoveryPipeline(benchmark::State& state) {
     // Offline install of the shadow's output: each target block appears
     // exactly once in seal() output, so the writes are order-independent
     // and partition across workers just like the journal apply phase.
-    {
-      const auto& dirty = outcome.dirty;
-      uint64_t nchunks = std::min<uint64_t>(workers, dirty.size());
-      std::atomic<bool> failed{false};
-      if (nchunks > 0) {
-        WorkerPool pool(workers);
-        pool.run(nchunks, [&](uint64_t c) {
-          size_t begin = dirty.size() * c / nchunks;
-          size_t end = dirty.size() * (c + 1) / nchunks;
-          for (size_t i = begin; i < end; ++i) {
-            if (!timed.write_block(dirty[i].block, dirty[i].data).ok()) {
-              failed = true;
-              return;
-            }
-          }
-        });
-      }
-      if (failed) state.SkipWithError("install failed");
+    if (!install(&timed, outcome.dirty, workers).ok()) {
+      state.SkipWithError("install failed");
     }
     if (!timed.flush().ok()) state.SkipWithError("flush failed");
     auto report = fsck(&timed, fopts);
@@ -338,7 +330,7 @@ const DownloadScenario& download_scenario() {
     out->dirty = std::move(outcome.dirty);
     out->device = std::move(base->device);
     delete base;
-    if (Journal::blocks_needed_multi(out->dirty.size(), 0) >= 8192) {
+    if (Journal::blocks_needed(out->dirty.size()) >= 8192) {
       std::abort();  // the bench must exercise the bulk path
     }
     return out;
@@ -405,24 +397,8 @@ void BM_RecoveryPipelineAutotuned(benchmark::State& state) {
     config.replay_workers = workers;
     auto outcome = shadow_execute(&timed, s.log, config);
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
-    {
-      const auto& dirty = outcome.dirty;
-      uint64_t nchunks = std::min<uint64_t>(workers, dirty.size());
-      std::atomic<bool> failed{false};
-      if (nchunks > 0) {
-        WorkerPool pool(workers);
-        pool.run(nchunks, [&](uint64_t c) {
-          size_t begin = dirty.size() * c / nchunks;
-          size_t end = dirty.size() * (c + 1) / nchunks;
-          for (size_t i = begin; i < end; ++i) {
-            if (!timed.write_block(dirty[i].block, dirty[i].data).ok()) {
-              failed = true;
-              return;
-            }
-          }
-        });
-      }
-      if (failed) state.SkipWithError("install failed");
+    if (!install(&timed, outcome.dirty, workers).ok()) {
+      state.SkipWithError("install failed");
     }
     if (!timed.flush().ok()) state.SkipWithError("flush failed");
     FsckOptions fopts;

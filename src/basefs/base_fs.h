@@ -207,10 +207,10 @@ class BaseFs {
   /// shadow's output blocks. The bulk path journals the whole set as ONE
   /// multi-chunk install transaction (atomic under power cuts: replay
   /// yields either the pre-install or the fully-installed image), then
-  /// fans the in-place writes across a worker pool sized by
-  /// BaseFsOptions::install_workers and checkpoints. Falls back to the
-  /// legacy cache-dirty + commit path when the set does not fit the
-  /// journal region.
+  /// fans the in-place writes across BaseFsOptions::install_workers
+  /// threads (write_blocks) and checkpoints. Falls back to the legacy
+  /// cache-dirty + commit path when the set does not fit the journal
+  /// region.
   Status install_blocks(const std::vector<InstallBlock>& blocks);
 
   // --- Introspection ----------------------------------------------------

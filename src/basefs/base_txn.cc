@@ -16,8 +16,8 @@
 #include <unordered_set>
 
 #include "basefs/base_fs.h"
+#include "blockdev/prefetch.h"
 #include "blockdev/qdepth_probe.h"
-#include "common/worker_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -363,6 +363,10 @@ Journal::CommitDoneCb BaseFs::make_commit_done_(std::shared_ptr<CommitCtx> ctx) 
           commit_latency_hist().record(mono_now(clock_.get()) - ctx->start);
         }
         if (durable_cb_ && ctx->op_seq > 0) durable_cb_(ctx->op_seq);
+        // Drop the payload handles before the waiters wake: a handle
+        // still held here would force a copy-on-write clone of the block
+        // the woken fsync caller overwrites next.
+        for (auto& r : ctx->meta) r.data.reset();
       } else {
         pipeline_broken_ = true;
         epoch_failed_ = std::max(epoch_failed_, ctx->upto);
@@ -646,7 +650,7 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
   // Called by the supervisor on a freshly mounted (rebooted) base with no
   // concurrent operations (paper §3.2 hand-off). The bulk path journals
   // the whole set as ONE multi-chunk install transaction, applies it in
-  // place through a worker pool, and checkpoints -- a power cut anywhere
+  // place through write_blocks, and checkpoints -- a power cut anywhere
   // in between replays to either the pre-install or the fully-installed
   // image, never a mix.
   for (const auto& ib : blocks) {
@@ -708,7 +712,7 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
   std::erase_if(carried, [&](BlockNo b) { return latest.count(b) > 0; });
 
   const uint32_t workers = resolve_workers(opts_.install_workers, dev_);
-  Result<uint64_t> seq = journal_.commit_multi(records, carried, workers);
+  Result<uint64_t> seq = journal_.commit(records, carried, workers);
   if (!seq.ok()) {
     // The set does not fit the journal region (or the engine refused):
     // fall back to the legacy cache-dirty path, which chunks through the
@@ -720,22 +724,12 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
   // In-place apply, fanned across the device's usable queue depth.
   {
     obs::TraceSpan span(obs::kSpanBaseInstallApply, clock_.get());
-    const size_t n = uniq.size();
-    const size_t slices = std::min<size_t>(workers, n);
-    std::atomic<bool> failed{false};
-    WorkerPool pool(static_cast<uint32_t>(slices));
-    pool.run(slices, [&](uint64_t s) {
-      const size_t begin = s * n / slices;
-      const size_t end = (s + 1) * n / slices;
-      for (size_t i = begin; i < end; ++i) {
-        if (!dev_->write_block(uniq[i]->block, uniq[i]->data).ok()) {
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
+    std::vector<BlockWrite> writes;
+    writes.reserve(uniq.size());
+    for (const InstallBlock* ib : uniq) writes.push_back({ib->block, ib->data});
     // The journal still holds the committed install transaction, so a
     // failed apply is recoverable: the supervisor's retry replays it.
-    if (failed.load()) return Errno::kIo;
+    RAEFS_TRY_VOID(write_blocks(dev_, writes, workers));
   }
   RAEFS_TRY_VOID(dev_->flush());
   // Every record is in place and durable: retire the install transaction.

@@ -67,4 +67,26 @@ std::unique_ptr<PrefetchedDevice> prefetch(BlockDevice* dev,
   return snap;
 }
 
+Status write_blocks(BlockDevice* dev, std::span<const BlockWrite> writes,
+                    uint32_t workers) {
+  const uint64_t n = writes.size();
+  const uint64_t slices = std::min<uint64_t>(std::max(workers, 1u), n);
+  if (slices == 0) return Status::Ok();
+  std::vector<Errno> errors(slices, Errno::kOk);
+  WorkerPool pool(static_cast<uint32_t>(slices));  // inline at one slice
+  pool.run(slices, [&](uint64_t s) {
+    for (uint64_t i = n * s / slices; i < n * (s + 1) / slices; ++i) {
+      Status st = dev->write_block(writes[i].block, writes[i].data);
+      if (!st.ok()) {
+        errors[s] = st.error();
+        return;
+      }
+    }
+  });
+  for (Errno e : errors) {
+    if (e != Errno::kOk) return e;
+  }
+  return Status::Ok();
+}
+
 }  // namespace raefs

@@ -1,5 +1,5 @@
-// Parallel read-ahead into a read-only device snapshot: the one prefetch
-// primitive of the recovery pipeline.
+// Parallel block IO for the recovery pipeline: the one read-ahead
+// primitive (prefetch) and the one writer (write_blocks).
 //
 // Journal replay, shadow replay and fsck each run a serial algorithm
 // whose reads can be named (or discovered breadth-first) ahead of time.
@@ -16,6 +16,14 @@
 // identical at every worker count. This is a device snapshot, not a
 // cache of decoded state: consumers still decode and validate every block
 // they read.
+//
+// The writer, write_blocks, is the other direction: the journal commit's
+// pre-barrier writes, journal replay's apply step and the bulk install's
+// in-place apply all hand it a list of writes whose order does not matter
+// (distinct targets, or a flush barrier still to come), and it fans them
+// across the same pool shape. At one worker it writes inline in list
+// order, which keeps the serial paths' device write sequence the
+// reference the parallel ones are compared against.
 #pragma once
 
 #include <memory>
@@ -61,5 +69,18 @@ class PrefetchedDevice final : public BlockDevice {
 std::unique_ptr<PrefetchedDevice> prefetch(BlockDevice* dev,
                                            std::span<const BlockNo> blocks,
                                            uint32_t workers);
+
+/// One block write; `data` must outlive the write_blocks call.
+struct BlockWrite {
+  BlockNo block = 0;
+  std::span<const uint8_t> data;
+};
+
+/// Write each entry of `writes` once, in contiguous slices across up to
+/// `workers` threads (inline and in order at one worker). A slice stops at
+/// its first failed write. Issues no flush. Returns the error of the first
+/// failed slice, or Ok.
+Status write_blocks(BlockDevice* dev, std::span<const BlockWrite> writes,
+                    uint32_t workers);
 
 }  // namespace raefs

@@ -7,33 +7,24 @@
 #include <vector>
 
 #include "common/types.h"
-#include "common/worker_pool.h"
 
 namespace raefs {
 namespace {
 
-// Reads per thread at each concurrency level: enough to amortize thread
-// wake-up against the per-IO latency being measured, small enough that
-// the whole probe stays well under a couple of milliseconds on an SSD-
-// class device (4 levels x 4 reads x ~50us, overlapped).
-constexpr uint32_t kReadsPerThread = 4;
+// Sampled reads; the fastest one is the device's single-read latency.
+// Scheduler noise on a loaded host only ever makes a read slower, so the
+// minimum of a few is a robust estimate.
+constexpr uint32_t kProbeReads = 4;
 
-// Below this single-read latency the device is effectively latency-free
-// (an in-memory store): there is no IO wait to overlap, concurrency buys
-// nothing, and timing a batch would measure scheduler noise.
-constexpr uint64_t kLatencyFreeNs = 2000;
+// Below this single-read latency the device is latency-free (an in-memory
+// store): there is no IO wait to overlap, so concurrency buys nothing.
+// Well clear of both device classes: a MemBlockDevice read takes ~1 us
+// (a few under sanitizers), a TimedBlockDevice read sleeps >= 50 us.
+constexpr uint64_t kLatencyFreeNs = 10000;
 
-// A level earns its concurrency only by beating the level below it by
-// this factor; perfect scaling would be 2.0, and anything under ~1.3x is
-// within the noise a loaded host produces.
-constexpr double kScalingThreshold = 1.3;
-
-// Batches per ladder level, keeping the best (minimum) time. Scheduler
-// noise on a loaded host only ever makes a batch slower -- a delayed
-// worker wake-up inflates the wall clock, nothing deflates it -- so the
-// minimum is the robust estimate of what the device can actually
-// overlap, and one unlucky batch cannot truncate the ladder at depth 1.
-constexpr uint32_t kTrialsPerLevel = 3;
+// Depth of every device with real access latency: the recovery pools'
+// cap, where their measured scaling ends (BENCH_recovery.json).
+constexpr uint32_t kMaxAutoWorkers = 8;
 
 uint64_t now_ns() {
   return static_cast<uint64_t>(
@@ -49,63 +40,21 @@ BlockNo sample_block(const BlockDevice* dev, uint64_t i) {
   return count == 0 ? 0 : (i * 2654435761ull) % count;
 }
 
-/// Wall-clock seconds for `threads` workers each issuing kReadsPerThread
-/// sampled reads concurrently. The pool is constructed outside the timed
-/// window so thread spawn cost never pollutes the measurement.
-double timed_batch(BlockDevice* dev, uint32_t threads, uint64_t salt) {
-  WorkerPool pool(threads);
-  const uint64_t t0 = now_ns();
-  pool.run(threads, [&](uint64_t t) {
-    std::vector<uint8_t> buf(kBlockSize);
-    for (uint32_t i = 0; i < kReadsPerThread; ++i) {
-      (void)dev->read_block(
-          sample_block(dev, salt + t * kReadsPerThread + i), buf);
-    }
-  });
-  return static_cast<double>(now_ns() - t0) * 1e-9;
-}
-
-/// Best (minimum) of kTrialsPerLevel batches; see kTrialsPerLevel.
-double best_batch(BlockDevice* dev, uint32_t threads, uint64_t* salt) {
-  double best = 0.0;
-  for (uint32_t trial = 0; trial < kTrialsPerLevel; ++trial) {
-    double cur = timed_batch(dev, threads, *salt);
-    *salt += threads * kReadsPerThread;
-    if (trial == 0 || cur < best) best = cur;
-  }
-  return best;
-}
-
 }  // namespace
 
 QdepthProbeResult probe_queue_depth(BlockDevice* dev) {
   QdepthProbeResult result;
   if (dev == nullptr || dev->block_count() == 0) return result;
 
-  // Single-stream latency first (also warms any read path caches).
   std::vector<uint8_t> buf(kBlockSize);
-  const uint64_t t0 = now_ns();
-  for (uint32_t i = 0; i < kReadsPerThread; ++i) {
+  uint64_t fastest = UINT64_MAX;
+  for (uint32_t i = 0; i < kProbeReads; ++i) {
+    const uint64_t t0 = now_ns();
     (void)dev->read_block(sample_block(dev, i), buf);
+    fastest = std::min(fastest, now_ns() - t0);
   }
-  result.single_read_ns = (now_ns() - t0) / kReadsPerThread;
-  if (result.single_read_ns < kLatencyFreeNs) return result;  // depth 1
-
-  // Walk the concurrency ladder; stop at the first level that fails to
-  // scale over the one below (devices saturate monotonically, so levels
-  // past the knee cannot earn it back).
-  uint64_t salt = kReadsPerThread;
-  double prev = best_batch(dev, 1, &salt);
-  uint32_t depth = 1;
-  for (uint32_t level = 2; level <= 16; level *= 2) {
-    double cur = best_batch(dev, level, &salt);
-    // Throughput ratio vs the previous level: same per-thread work, so
-    // level/prev-level throughput = 2 * prev_time / cur_time.
-    if (cur <= 0.0 || 2.0 * prev / cur < kScalingThreshold) break;
-    depth = level;
-    prev = cur;
-  }
-  result.effective_depth = depth;
+  result.single_read_ns = fastest;
+  if (fastest >= kLatencyFreeNs) result.effective_depth = kMaxAutoWorkers;
   return result;
 }
 
@@ -136,7 +85,7 @@ void clear_queue_depth_cache() {
 
 uint32_t resolve_workers(uint32_t knob, BlockDevice* dev) {
   if (knob != 0) return knob;
-  return std::clamp(cached_queue_depth(dev).effective_depth, 1u, 8u);
+  return cached_queue_depth(dev).effective_depth;
 }
 
 }  // namespace raefs

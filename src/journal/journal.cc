@@ -7,7 +7,6 @@
 #include "blockdev/prefetch.h"
 #include "common/checksum.h"
 #include "common/serial.h"
-#include "common/worker_pool.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -269,7 +268,7 @@ Result<std::vector<ScannedTxn>> scan_committed(BlockDevice* dev,
     }
 
     // Accumulate the transaction's chunks: one descriptor for a classic
-    // commit, several descriptors sharing this seq for a commit_multi
+    // commit, several descriptors sharing this seq for a multi-chunk
     // bulk transaction. The chunk loop ends at the commit record (the
     // transaction is durable as a whole) or at anything else (the whole
     // multi-chunk transaction is a torn tail).
@@ -368,52 +367,7 @@ bool Journal::has_space(size_t nrecords) const {
          geo_.journal_start + geo_.journal_blocks;
 }
 
-Result<uint64_t> Journal::commit(const std::vector<JournalRecord>& records,
-                                 const std::vector<BlockNo>& revoked) {
-  if (records.empty()) return Errno::kInval;
-  if (records.size() + revoked.size() > max_descriptor_entries()) {
-    return Errno::kInval;
-  }
-  for (const auto& r : records) {
-    if (!r.data || r.data->size() != kBlockSize) return Errno::kInval;
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!staged_.empty() || pipeline_failed_) return Errno::kBusy;
-  if (cursor_ + blocks_needed(records.size()) >
-      geo_.journal_start + geo_.journal_blocks) {
-    return Errno::kNoSpace;
-  }
-  uint64_t seq = next_seq_;
-
-  Descriptor d;
-  d.seq = seq;
-  for (const auto& r : records) d.targets.push_back(r.target);
-  d.revoked = revoked;
-  RAEFS_TRY_VOID(dev_->write_block(cursor_, encode_descriptor(d)));
-  for (size_t i = 0; i < records.size(); ++i) {
-    RAEFS_TRY_VOID(dev_->write_block(cursor_ + 1 + i, *records[i].data));
-  }
-  // Barrier: descriptor+payload durable before the commit record exists.
-  RAEFS_TRY_VOID(dev_->flush());
-
-  Commit c;
-  c.seq = seq;
-  c.ntags = static_cast<uint32_t>(records.size());
-  c.payload_crc = payload_crc(records, revoked);
-  RAEFS_TRY_VOID(
-      dev_->write_block(cursor_ + 1 + records.size(), encode_commit(c)));
-  RAEFS_TRY_VOID(dev_->flush());
-
-  cursor_ += blocks_needed(records.size());
-  next_seq_ = seq + 1;
-  durable_seq_ = seq;
-  durable_cursor_ = cursor_;
-  commit_counter().inc();
-  blocks_written_counter().inc(blocks_needed(records.size()));
-  return seq;
-}
-
-uint64_t Journal::blocks_needed_multi(size_t nrecords, size_t nrevoked) {
+uint64_t Journal::blocks_needed(size_t nrecords, size_t nrevoked) {
   // First chunk's descriptor shares its entry table with the revoke list;
   // continuation chunks carry tags only.
   const size_t cap = max_descriptor_entries();
@@ -425,9 +379,9 @@ uint64_t Journal::blocks_needed_multi(size_t nrecords, size_t nrevoked) {
   return nchunks + nrecords + 1;
 }
 
-Result<uint64_t> Journal::commit_multi(
-    const std::vector<JournalRecord>& records,
-    const std::vector<BlockNo>& revoked, uint32_t workers) {
+Result<uint64_t> Journal::commit(const std::vector<JournalRecord>& records,
+                                 const std::vector<BlockNo>& revoked,
+                                 uint32_t workers) {
   if (records.empty()) return Errno::kInval;
   if (revoked.size() >= max_descriptor_entries()) return Errno::kInval;
   for (const auto& r : records) {
@@ -435,7 +389,7 @@ Result<uint64_t> Journal::commit_multi(
   }
   std::lock_guard<std::mutex> lk(mu_);
   if (!staged_.empty() || pipeline_failed_) return Errno::kBusy;
-  const uint64_t blocks = blocks_needed_multi(records.size(), revoked.size());
+  const uint64_t blocks = blocks_needed(records.size(), revoked.size());
   if (cursor_ + blocks > geo_.journal_start + geo_.journal_blocks) {
     return Errno::kNoSpace;
   }
@@ -443,56 +397,31 @@ Result<uint64_t> Journal::commit_multi(
 
   // Lay the transaction out first: every chunk descriptor (repeating
   // seq) and payload block has a fixed position, so the pre-barrier
-  // writes are order-free and can fan across a worker pool. The revoke
-  // list rides in the first chunk only, so its capacity is what the
-  // revokes leave over.
-  struct PendingWrite {
-    BlockNo pos = 0;
-    const std::vector<uint8_t>* payload = nullptr;  // null: use `owned`
-    std::vector<uint8_t> owned;                     // encoded descriptor
-  };
-  std::vector<PendingWrite> writes;
+  // writes are order-free. The revoke list rides in the first chunk
+  // only, so its capacity is what the revokes leave over.
+  std::vector<std::vector<uint8_t>> descriptors;
+  descriptors.reserve(blocks - records.size() - 1);  // spans stay valid
+  std::vector<BlockWrite> writes;
   writes.reserve(blocks - 1);
   BlockNo pos = cursor_;
   size_t idx = 0;
-  bool first = true;
   while (idx < records.size()) {
-    const size_t cap = first
-                           ? max_descriptor_entries() - revoked.size()
-                           : max_descriptor_entries();
+    const size_t cap = idx == 0 ? max_descriptor_entries() - revoked.size()
+                                : max_descriptor_entries();
     const size_t n = std::min(cap, records.size() - idx);
     Descriptor d;
     d.seq = seq;
     for (size_t i = 0; i < n; ++i) {
       d.targets.push_back(records[idx + i].target);
     }
-    if (first) d.revoked = revoked;
-    writes.push_back({pos, nullptr, encode_descriptor(d)});
-    ++pos;
-    for (size_t i = 0; i < n; ++i, ++pos) {
-      writes.push_back({pos, records[idx + i].data.get(), {}});
+    if (idx == 0) d.revoked = revoked;
+    writes.push_back({pos++, descriptors.emplace_back(encode_descriptor(d))});
+    for (size_t i = 0; i < n; ++i) {
+      writes.push_back({pos++, *records[idx + i].data});
     }
     idx += n;
-    first = false;
   }
-  {
-    const size_t slices =
-        std::min<size_t>(std::max<uint32_t>(workers, 1), writes.size());
-    std::atomic<bool> failed{false};
-    WorkerPool pool(static_cast<uint32_t>(slices));
-    pool.run(slices, [&](uint64_t s) {
-      const size_t begin = s * writes.size() / slices;
-      const size_t end = (s + 1) * writes.size() / slices;
-      for (size_t i = begin; i < end; ++i) {
-        const auto& w = writes[i];
-        const auto& buf = w.payload ? *w.payload : w.owned;
-        if (!dev_->write_block(w.pos, buf).ok()) {
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-    if (failed.load()) return Errno::kIo;
-  }
+  RAEFS_TRY_VOID(write_blocks(dev_, writes, workers));
   // Barrier: every chunk durable before the one commit record exists, so
   // a power cut leaves either no commit record (the whole set is a torn
   // tail) or a commit record proving the whole set durable.
@@ -793,65 +722,45 @@ Result<ReplayResult> Journal::replay(BlockDevice* dev, const Geometry& geo,
   // the region be replayed on a later crash.
   uint64_t last_seq = hdr.floor_seq;
   BlockNo tail = geo.journal_start + 1;
-  if (workers <= 1) {
-    for (const auto& txn : txns) {
-      for (const auto& rec : txn.records) {
-        if (rec.target >= geo.total_blocks) return Errno::kCorrupt;
-        // Revoked: the block was freed (and possibly reallocated as file
-        // data) by a transaction at or above this copy's seq; replaying
-        // it would resurrect stale metadata over live content.
-        if (is_revoked(floor, rec.target, txn.seq)) continue;
-        RAEFS_TRY_VOID(dev->write_block(rec.target, *rec.data));
-        ++result.applied_blocks;
-      }
-      last_seq = txn.seq;
-      tail = txn.next_block;
-      ++result.applied_txns;
-    }
-  } else {
-    // Latest copy per target wins (the checkpointer's rule); the winners
-    // are then order-independent and can be applied concurrently.
-    std::unordered_map<BlockNo, const JournalRecord*> latest;
-    for (const auto& txn : txns) {
-      for (const auto& rec : txn.records) {
-        if (rec.target >= geo.total_blocks) return Errno::kCorrupt;
-        if (is_revoked(floor, rec.target, txn.seq)) continue;
-        latest[rec.target] = &rec;
-        ++result.applied_blocks;
-      }
-      last_seq = txn.seq;
-      tail = txn.next_block;
-      ++result.applied_txns;
-    }
-    std::vector<const JournalRecord*> winners;
-    winners.reserve(latest.size());
-    for (const auto& [target, rec] : latest) winners.push_back(rec);
-    std::sort(winners.begin(), winners.end(),
-              [](const JournalRecord* a, const JournalRecord* b) {
-                return a->target < b->target;
-              });
-    // Contiguous chunks of the target-sorted winners, one per worker, so
-    // each worker's writes land in an ascending block range.
-    uint64_t nchunks = std::min<uint64_t>(workers, winners.size());
-    if (nchunks > 0) {
-      std::vector<Status> errors(nchunks, Status::Ok());
-      WorkerPool pool(workers);
-      obs::TraceSpan span(obs::kSpanJournalReplayApply, nullptr);
-      pool.run(nchunks, [&](uint64_t chunk) {
-        size_t begin = winners.size() * chunk / nchunks;
-        size_t end = winners.size() * (chunk + 1) / nchunks;
-        for (size_t i = begin; i < end; ++i) {
-          Status st = dev->write_block(winners[i]->target, *winners[i]->data);
-          if (!st.ok()) {
-            errors[chunk] = st;
-            return;
-          }
+  // Serially, every non-revoked record is written in commit order: the
+  // reference path. In parallel only the latest copy per target is
+  // written (the checkpointer's rule -- later transactions fully shadow
+  // earlier writes to the same block), so no two writes share a target
+  // and they commute; sorted by target, each worker's slice is an
+  // ascending block range.
+  std::vector<BlockWrite> writes;
+  std::unordered_map<BlockNo, size_t> latest;  // target -> index in writes
+  for (const auto& txn : txns) {
+    for (const auto& rec : txn.records) {
+      if (rec.target >= geo.total_blocks) return Errno::kCorrupt;
+      // Revoked: the block was freed (and possibly reallocated as file
+      // data) by a transaction at or above this copy's seq; replaying it
+      // would resurrect stale metadata over live content.
+      if (is_revoked(floor, rec.target, txn.seq)) continue;
+      ++result.applied_blocks;
+      const BlockWrite w{rec.target, *rec.data};
+      if (workers > 1) {
+        auto [it, inserted] = latest.try_emplace(rec.target, writes.size());
+        if (!inserted) {
+          writes[it->second] = w;
+          continue;
         }
-      });
-      for (const Status& st : errors) {
-        if (!st.ok()) return st.error();
       }
+      writes.push_back(w);
     }
+    last_seq = txn.seq;
+    tail = txn.next_block;
+    ++result.applied_txns;
+  }
+  if (workers > 1) {
+    std::sort(writes.begin(), writes.end(),
+              [](const BlockWrite& a, const BlockWrite& b) {
+                return a.block < b.block;
+              });
+  }
+  {
+    obs::TraceSpan span(obs::kSpanJournalReplayApply, nullptr);
+    RAEFS_TRY_VOID(write_blocks(dev, writes, workers));
   }
   RAEFS_TRY_VOID(dev->flush());
   // The first block past the replayed history may hold a torn descriptor

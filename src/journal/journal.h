@@ -13,8 +13,8 @@
 //       ntags payload blocks (raw images of the target blocks)
 //       commit block     {magic, kind=2, seq, ntags, payload_crc}
 //
-// A transaction larger than one descriptor can hold (commit_multi, used
-// by the recovery download's bulk install) is written as SEVERAL
+// A transaction larger than one descriptor can hold (a commit() of many
+// records, e.g. the recovery download's bulk install) is written as SEVERAL
 // descriptor+payload chunks sharing ONE sequence number, closed by a
 // single commit record whose ntags is the total record count and whose
 // payload_crc chains every chunk's records in order (revokes ride in the
@@ -102,8 +102,11 @@ class Journal {
   /// replayed and reset beforehand, as mount does).
   Status open();
 
-  /// Blocks needed to journal `nrecords` records.
-  static uint64_t blocks_needed(size_t nrecords) { return nrecords + 2; }
+  /// Journal blocks a transaction of `nrecords` records with `nrevoked`
+  /// revokes consumes: one descriptor per chunk, the payloads, one commit
+  /// record. Up to max_descriptor_entries() tags + revokes that is
+  /// nrecords + 2.
+  static uint64_t blocks_needed(size_t nrecords, size_t nrevoked = 0);
 
   /// Tags + revokes that fit in one descriptor block alongside the fixed
   /// fields (magic, kind, seq, ntags, nrevoked, CRC).
@@ -114,37 +117,26 @@ class Journal {
   /// True if a transaction of `nrecords` records fits in the free area.
   bool has_space(size_t nrecords) const;
 
-  /// Durably commit one transaction: descriptor + payload, flush, commit
-  /// record, flush. Returns the assigned sequence number. Must not run
-  /// while pipelined transactions are staged (used by the oversized-
-  /// transaction fallback and by tests). `revoked` lists blocks whose
-  /// older journaled copies (seq <= this transaction's) must not be
-  /// replayed; records.size() + revoked.size() must fit one descriptor
-  /// (max_descriptor_entries()).
-  Result<uint64_t> commit(const std::vector<JournalRecord>& records,
-                          const std::vector<BlockNo>& revoked = {});
-
-  /// Durably commit one transaction of ANY size as chunked descriptors
-  /// sharing one sequence number and closed by a single commit record
-  /// (see the multi-chunk layout note above): all descriptor+payload
-  /// chunks, flush, commit record, flush. The whole set is atomic under
-  /// power cuts -- replay applies either none of it (no commit record) or
-  /// all of it. Requires an idle pipeline (kBusy otherwise) and enough
-  /// free journal space for every chunk (kNoSpace otherwise; nothing is
-  /// written). `revoked` must leave room for at least one tag in the
-  /// first descriptor. Used by the recovery download's bulk install.
+  /// Durably commit one transaction of any size: every descriptor+payload
+  /// chunk (one chunk when records + revokes fit a descriptor; see the
+  /// multi-chunk layout note above), flush, commit record, flush. Returns
+  /// the assigned sequence number. The whole set is atomic under power
+  /// cuts -- replay applies either none of it (no commit record) or all of
+  /// it. `revoked` lists blocks whose older journaled copies (seq <= this
+  /// transaction's) must not be replayed; it must leave room for at least
+  /// one tag in the first descriptor (kInval otherwise). Requires an idle
+  /// pipeline (kBusy otherwise) and enough free journal space for every
+  /// chunk (kNoSpace otherwise; nothing is written). Used by the oversized-
+  /// transaction fallback, the recovery download's bulk install and tests.
   ///
-  /// With `workers > 1` the descriptor+payload writes are fanned across a
-  /// WorkerPool: every pre-barrier block lands at a precomputed position,
-  /// so write order is irrelevant -- the flush barrier alone orders the
-  /// set against the commit record, and atomicity is unchanged.
-  Result<uint64_t> commit_multi(const std::vector<JournalRecord>& records,
-                                const std::vector<BlockNo>& revoked = {},
-                                uint32_t workers = 1);
-
-  /// Journal blocks commit_multi would consume for `nrecords` records
-  /// with `nrevoked` revokes (chunk descriptors + payloads + one commit).
-  static uint64_t blocks_needed_multi(size_t nrecords, size_t nrevoked);
+  /// The pre-barrier blocks all land at precomputed positions, so their
+  /// order is irrelevant -- the flush barrier alone orders the set against
+  /// the commit record -- and they go through write_blocks
+  /// (blockdev/prefetch.h) across up to `workers` threads; at one worker
+  /// they are written in journal order.
+  Result<uint64_t> commit(const std::vector<JournalRecord>& records,
+                          const std::vector<BlockNo>& revoked = {},
+                          uint32_t workers = 1);
 
   /// Completion of a pipelined transaction. Runs on an async worker once
   /// the transaction is durable (commit record flushed) or has failed.
@@ -223,8 +215,8 @@ class Journal {
   /// parallel: committed records are deduplicated to the latest copy per
   /// target block (the same latest-wins rule the checkpointer uses --
   /// later transactions fully shadow earlier writes to the same block),
-  /// sorted by target, and partitioned into contiguous block ranges
-  /// applied by a WorkerPool.
+  /// sorted by target, and handed to write_blocks (blockdev/prefetch.h),
+  /// which writes contiguous block ranges across the workers.
   /// Each target block is written exactly once by exactly one worker, so
   /// the final device image is byte-identical to the serial in-order
   /// replay, and the whole operation stays idempotent: the header is

@@ -1,7 +1,5 @@
 #include "oplog/op_log.h"
 
-#include <algorithm>
-
 namespace raefs {
 
 Seq OpLog::append_started(OpRequest req) {
@@ -12,6 +10,7 @@ Seq OpLog::append_started(OpRequest req) {
   rec.completed = false;
   records_.push_back(std::move(rec));
   ++appended_;
+  live_bytes_ += records_.back().req.footprint();
   return records_.back().seq;
 }
 
@@ -31,12 +30,11 @@ void OpLog::truncate_durable(Seq watermark) {
   std::lock_guard<std::mutex> lk(mu_);
   if (watermark <= watermark_) return;
   watermark_ = watermark;
-  records_.erase(
-      std::remove_if(records_.begin(), records_.end(),
-                     [&](const OpRecord& r) {
-                       return r.seq <= watermark && r.completed;
-                     }),
-      records_.end());
+  std::erase_if(records_, [&](const OpRecord& r) {
+    if (r.seq > watermark || !r.completed) return false;
+    live_bytes_ -= r.req.footprint();
+    return true;
+  });
   ++truncated_;
 }
 
@@ -48,6 +46,7 @@ std::vector<OpRecord> OpLog::snapshot() const {
 void OpLog::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   records_.clear();
+  live_bytes_ = 0;
 }
 
 Seq OpLog::last_seq() const {
@@ -66,9 +65,7 @@ OpLogStats OpLog::stats() const {
   s.appended = appended_;
   s.truncated = truncated_;
   s.live_records = records_.size();
-  size_t bytes = 0;
-  for (const auto& r : records_) bytes += r.req.footprint();
-  s.live_bytes = bytes;
+  s.live_bytes = live_bytes_;
   return s;
 }
 

@@ -53,6 +53,7 @@ class OpLog {
   Seq watermark_ = 0;
   uint64_t appended_ = 0;
   uint64_t truncated_ = 0;
+  size_t live_bytes_ = 0;  // footprint sum of records_, kept on every change
 };
 
 }  // namespace raefs

@@ -1,6 +1,6 @@
 // Block-device substrate tests: memory device semantics, volatile-cache
 // crash behaviour, fault injection, read-only shadow view, async layer,
-// the recovery read-ahead snapshot.
+// the recovery read-ahead snapshot and parallel writer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include "blockdev/mem_device.h"
 #include "blockdev/prefetch.h"
 #include "blockdev/qdepth_probe.h"
+#include "blockdev/timed_device.h"
 #include "common/panic.h"
 
 namespace raefs {
@@ -539,6 +540,19 @@ TEST(QdepthProbe, ResultIsCachedPerDeviceInstance) {
   clear_queue_depth_cache();
 }
 
+TEST(QdepthProbe, TimedDeviceAlwaysResolvesTheCap) {
+  // Any device whose reads cost real time resolves to the pools' cap on
+  // every probe: the rule has no timed concurrency ladder for scheduler
+  // noise to truncate.
+  MemBlockDevice mem(256);
+  for (int i = 0; i < 20; ++i) {
+    clear_queue_depth_cache();
+    TimedBlockDevice dev(&mem, RealLatency{});
+    EXPECT_EQ(resolve_workers(0, &dev), 8u) << "probe " << i;
+  }
+  clear_queue_depth_cache();
+}
+
 TEST(QdepthProbe, ProbeOnlyReads) {
   // The probe runs on a mounted (possibly just-recovered) image: it must
   // never write. Arm the fault device to fail every write; the probe
@@ -623,6 +637,65 @@ TEST(Prefetch, FetchExtendsTheSnapshot) {
   snap->fetch(second);
   for (BlockNo b : {1, 2, 3, 4}) EXPECT_NE(snap->find(b), nullptr) << b;
   EXPECT_EQ(dev.stats().reads.load(), reads + 2);  // block 2 not re-read
+}
+
+// ---------------------------------------------------------------------
+// Parallel writer: the one write primitive of the recovery phases.
+// ---------------------------------------------------------------------
+
+std::vector<std::vector<uint8_t>> write_payloads(size_t n) {
+  std::vector<std::vector<uint8_t>> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(filled(static_cast<uint8_t>(i + 1)));
+  }
+  return out;
+}
+
+TEST(WriteBlocks, SameImageAtEveryWorkerCountEachEntryOnce) {
+  const auto payloads = write_payloads(37);
+  std::vector<BlockWrite> writes;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    writes.push_back({static_cast<BlockNo>((i * 7) % 64), payloads[i]});
+  }
+  std::vector<std::unique_ptr<MemBlockDevice>> devs;
+  for (uint32_t workers : {1u, 2u, 8u}) {
+    auto dev = std::make_unique<MemBlockDevice>(64);
+    ASSERT_TRUE(write_blocks(dev.get(), writes, workers).ok()) << workers;
+    EXPECT_EQ(dev->stats().writes.load(), writes.size()) << workers;
+    EXPECT_EQ(dev->stats().flushes.load(), 0u) << workers;
+    devs.push_back(std::move(dev));
+  }
+  std::vector<uint8_t> a(kBlockSize), b(kBlockSize);
+  for (BlockNo blk = 0; blk < 64; ++blk) {
+    ASSERT_TRUE(devs[0]->read_block(blk, a).ok());
+    for (size_t d = 1; d < devs.size(); ++d) {
+      ASSERT_TRUE(devs[d]->read_block(blk, b).ok());
+      EXPECT_EQ(a, b) << "block " << blk << " device " << d;
+    }
+  }
+}
+
+TEST(WriteBlocks, WriteErrorIsReturnedAtEveryWorkerCount) {
+  const auto payloads = write_payloads(16);
+  std::vector<BlockWrite> writes;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    writes.push_back({static_cast<BlockNo>(i), payloads[i]});
+  }
+  for (uint32_t workers : {1u, 2u, 8u}) {
+    MemBlockDevice mem(32);
+    FaultBlockDevice dev(&mem);
+    dev.arm_write_error_at(5);
+    EXPECT_EQ(write_blocks(&dev, writes, workers).error(), Errno::kIo)
+        << workers;
+    EXPECT_EQ(dev.injected_write_errors(), 1u) << workers;
+  }
+}
+
+TEST(WriteBlocks, EmptySpanWritesNothing) {
+  MemBlockDevice dev(8);
+  EXPECT_TRUE(write_blocks(&dev, {}, 4).ok());
+  EXPECT_EQ(dev.stats().writes.load(), 0u);
+  EXPECT_EQ(dev.stats().flushes.load(), 0u);
 }
 
 }  // namespace

@@ -598,8 +598,9 @@ TEST_F(JournalFixture, RevokeListCountsAgainstDescriptorCapacity) {
 }
 
 // ---------------------------------------------------------------------
-// Multi-chunk install transactions (commit_multi): one sequence number
-// spanning several descriptor chunks, atomic under power cuts.
+// Multi-chunk transactions (a commit of more records than one descriptor
+// holds): one sequence number spanning several descriptor chunks, atomic
+// under power cuts.
 // ---------------------------------------------------------------------
 
 struct JournalMultiFixture : ::testing::Test {
@@ -630,7 +631,7 @@ TEST_F(JournalMultiFixture, SingleChunkRoundTrip) {
   ASSERT_TRUE(journal.open().ok());
   std::vector<JournalRecord> recs;
   for (int i = 0; i < 5; ++i) recs.push_back(record(geo.data_start + i, 0x40 + i));
-  auto seq = journal.commit_multi(recs);
+  auto seq = journal.commit(recs);
   ASSERT_TRUE(seq.ok());
   EXPECT_EQ(seq.value(), 1u);
 
@@ -648,12 +649,12 @@ TEST_F(JournalMultiFixture, MultiChunkSharesOneSeqAndReplays) {
   Journal journal(dev.get(), geo);
   ASSERT_TRUE(journal.open().ok());
   const size_t n = Journal::max_descriptor_entries() + 12;  // forces 2 chunks
-  ASSERT_GT(Journal::blocks_needed_multi(n, 0), n + 2);  // really chunked
+  ASSERT_GT(Journal::blocks_needed(n), n + 2);  // really chunked
   std::vector<JournalRecord> recs;
   for (size_t i = 0; i < n; ++i) {
     recs.push_back(record(geo.data_start + i, static_cast<uint8_t>(i)));
   }
-  auto seq = journal.commit_multi(recs);
+  auto seq = journal.commit(recs);
   ASSERT_TRUE(seq.ok());
 
   auto seqs = Journal::scan(dev.get(), geo);
@@ -679,12 +680,12 @@ TEST_F(JournalMultiFixture, TornMultiChunkDiscardsWholeSet) {
   const size_t n = Journal::max_descriptor_entries() + 12;
   std::vector<JournalRecord> recs;
   for (size_t i = 0; i < n; ++i) recs.push_back(record(geo.data_start + i, 0x55));
-  ASSERT_TRUE(journal.commit_multi(recs).ok());
+  ASSERT_TRUE(journal.commit(recs).ok());
 
   // Simulate the cut by destroying the commit record (the transaction's
   // last journal block on a fresh journal).
   const BlockNo commit_at =
-      geo.journal_start + Journal::blocks_needed_multi(n, 0);
+      geo.journal_start + Journal::blocks_needed(n);
   ASSERT_TRUE(
       dev->write_block(commit_at, std::vector<uint8_t>(kBlockSize, 0)).ok());
 
@@ -708,7 +709,7 @@ TEST_F(JournalMultiFixture, RevokesRideTheFirstChunk) {
   const size_t n = Journal::max_descriptor_entries() + 12;
   std::vector<JournalRecord> recs;
   for (size_t i = 0; i < n; ++i) recs.push_back(record(geo.data_start + i, 0x77));
-  ASSERT_TRUE(journal.commit_multi(recs, {victim}).ok());
+  ASSERT_TRUE(journal.commit(recs, {victim}).ok());
 
   auto replayed = Journal::replay(dev.get(), geo);
   ASSERT_TRUE(replayed.ok());
@@ -729,7 +730,7 @@ TEST_F(JournalMultiFixture, MixedWithPlainCommitsRoundTrips) {
   for (size_t i = 0; i < n; ++i) {
     recs.push_back(record(geo.data_start + 10 + i, 0x02));
   }
-  ASSERT_TRUE(journal.commit_multi(recs).ok());
+  ASSERT_TRUE(journal.commit(recs).ok());
   ASSERT_TRUE(journal.commit({record(geo.data_start + 1, 0x03)}).ok());
 
   auto replayed = Journal::replay(dev.get(), geo);
@@ -743,11 +744,11 @@ TEST_F(JournalMultiFixture, MixedWithPlainCommitsRoundTrips) {
 TEST_F(JournalMultiFixture, RefusesEmptyOversizedAndBusy) {
   Journal journal(dev.get(), geo);
   ASSERT_TRUE(journal.open().ok());
-  EXPECT_EQ(journal.commit_multi({}).error(), Errno::kInval);
+  EXPECT_EQ(journal.commit({}).error(), Errno::kInval);
 
   std::vector<BlockNo> revoked(Journal::max_descriptor_entries(),
                                geo.data_start);
-  EXPECT_EQ(journal.commit_multi({record(geo.data_start, 1)}, revoked).error(),
+  EXPECT_EQ(journal.commit({record(geo.data_start, 1)}, revoked).error(),
             Errno::kInval);
 
   // A set that cannot fit the region: kNoSpace, nothing written, and the
@@ -756,8 +757,8 @@ TEST_F(JournalMultiFixture, RefusesEmptyOversizedAndBusy) {
   for (uint64_t i = 0; i < geo.journal_blocks; ++i) {
     huge.push_back(record(geo.data_start + i, 0x11));
   }
-  EXPECT_EQ(journal.commit_multi(huge).error(), Errno::kNoSpace);
-  EXPECT_TRUE(journal.commit_multi({record(geo.data_start, 0x12)}).ok());
+  EXPECT_EQ(journal.commit(huge).error(), Errno::kNoSpace);
+  EXPECT_TRUE(journal.commit({record(geo.data_start, 0x12)}).ok());
   auto replayed = Journal::replay(dev.get(), geo);
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(replayed.value().applied_txns, 1u);

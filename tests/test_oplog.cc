@@ -70,15 +70,38 @@ TEST(OpLog, ClearEmptiesButKeepsSeqCounter) {
   EXPECT_EQ(log.append_started(make_req(OpKind::kCreate, "/b")), 2u);
 }
 
+size_t snapshot_footprint(const OpLog& log) {
+  size_t bytes = 0;
+  for (const auto& r : log.snapshot()) bytes += r.req.footprint();
+  return bytes;
+}
+
 TEST(OpLog, StatsTrackFootprint) {
   OpLog log;
   OpRequest req = make_req(OpKind::kWrite, "");
   req.data.assign(1000, 0xAA);
-  log.append_started(std::move(req));
+  Seq s1 = log.append_started(std::move(req));
   auto stats = log.stats();
   EXPECT_EQ(stats.live_records, 1u);
   EXPECT_GE(stats.live_bytes, 1000u);
   EXPECT_EQ(stats.appended, 1u);
+
+  // The running total matches a re-sum of the live records after
+  // appends, a truncation that keeps an in-flight record, and clear().
+  Seq s2 = log.append_started(make_req(OpKind::kCreate, "/some/longer/path"));
+  OpRequest w = make_req(OpKind::kWrite, "");
+  w.data.assign(300, 0x55);
+  Seq s3 = log.append_started(std::move(w));
+  EXPECT_EQ(log.stats().live_bytes, snapshot_footprint(log));
+  log.complete(s1, {});
+  log.complete(s3, {});
+  log.truncate_durable(s3);  // drops s1 and s3; s2 is still in flight
+  ASSERT_EQ(log.snapshot().size(), 1u);
+  EXPECT_EQ(log.snapshot()[0].seq, s2);
+  EXPECT_EQ(log.stats().live_bytes, snapshot_footprint(log));
+  log.clear();
+  EXPECT_EQ(log.stats().live_bytes, 0u);
+  EXPECT_EQ(log.stats().live_bytes, snapshot_footprint(log));
 }
 
 TEST(OpDescribe, HumanReadable) {

@@ -795,8 +795,7 @@ TEST(InstallParallel, PowerCutThroughBulkInstallIsAtomic) {
   Geometry geo = compute_geometry(8192, 1024, 128).value();
   // The set must take the journaled bulk path (fits the region), or the
   // atomicity contract under test does not apply.
-  ASSERT_LT(Journal::blocks_needed_multi(dirty.size(), 0),
-            geo.journal_blocks);
+  ASSERT_LT(Journal::blocks_needed(dirty.size()), geo.journal_blocks);
 
   std::unordered_map<BlockNo, std::vector<uint8_t>> oldc, newc;
   for (const auto& ib : dirty) {
