@@ -321,8 +321,8 @@ struct DownloadScenario {
 const DownloadScenario& download_scenario() {
   static const DownloadScenario* s = [] {
     // The scenario's full dirty set runs to a few thousand blocks; the
-    // journaled bulk install needs the whole transaction to fit the
-    // journal region (else it falls back to the serial legacy path).
+    // install is one transaction only while it fits the journal region
+    // (a larger set splits into region-sized transactions).
     auto* base = build_scenario(/*journal_blocks=*/8192);
     auto* out = new DownloadScenario;
     auto outcome = shadow_execute(base->device.get(), base->log, {});
@@ -331,7 +331,7 @@ const DownloadScenario& download_scenario() {
     out->device = std::move(base->device);
     delete base;
     if (Journal::blocks_needed(out->dirty.size()) >= 8192) {
-      std::abort();  // the bench must exercise the bulk path
+      std::abort();  // the bench must install one transaction
     }
     return out;
   }();

@@ -10,6 +10,12 @@
 namespace raefs {
 
 namespace {
+
+// Lock shards of the block, inode and dentry caches.
+constexpr int kCacheShards = 8;
+// Simulated CPU cost charged per operation.
+constexpr Nanos kOpCpuCost = 300;
+
 std::vector<uint8_t> zero_block() {
   return std::vector<uint8_t>(kBlockSize, 0);
 }
@@ -103,9 +109,9 @@ BaseFs::BaseFs(BlockDevice* dev, const BaseFsOptions& opts, SimClockPtr clock,
       warns_(warns),
       sb_(sb),
       geo_(geo),
-      block_cache_(dev, opts.block_cache_blocks, opts.cache_shards),
-      inode_cache_(opts.cache_shards),
-      dentry_cache_(opts.dentry_cache_entries, opts.cache_shards),
+      block_cache_(dev, opts.block_cache_blocks, kCacheShards),
+      inode_cache_(kCacheShards),
+      dentry_cache_(opts.dentry_cache_entries, kCacheShards),
       async_(dev, opts.async_workers),
       journal_(dev, geo) {}
 
@@ -261,7 +267,7 @@ void BaseFs::bug_site(std::string_view site, OpKind op, std::string_view path,
 
 void BaseFs::charge_op() {
   op_counter_.fetch_add(1, std::memory_order_relaxed);
-  if (clock_ && opts_.op_cpu_cost) clock_->advance(opts_.op_cpu_cost);
+  if (clock_) clock_->advance(kOpCpuCost);
 }
 
 void BaseFs::note_mutation() {

@@ -78,7 +78,6 @@ struct MkfsOptions {
 struct BaseFsOptions {
   size_t block_cache_blocks = 1024;
   size_t dentry_cache_entries = 4096;
-  int cache_shards = 8;
   int async_workers = 2;
   bool use_dentry_cache = true;
   bool use_inode_cache = true;
@@ -86,11 +85,6 @@ struct BaseFsOptions {
   /// metadata before it can persist; a failure panics (and is then
   /// recoverable by RAE from the unpersisted-state log).
   bool validate_on_sync = true;
-  /// Checkpoint (write journaled metadata in place) when the journal is
-  /// fuller than this after a commit.
-  double checkpoint_fill_threshold = 0.5;
-  /// Simulated CPU cost charged per operation.
-  Nanos op_cpu_cost = 300;
   /// Worker threads for the bulk install's parallel in-place apply
   /// (install_blocks, the recovery download). 0 = auto: derive from the
   /// device's probed effective queue depth (blockdev/qdepth_probe.h).
@@ -204,13 +198,13 @@ class BaseFs {
   }
 
   /// Metadata download (paper §3.2 hand-off): durably install the
-  /// shadow's output blocks. The bulk path journals the whole set as ONE
-  /// multi-chunk install transaction (atomic under power cuts: replay
-  /// yields either the pre-install or the fully-installed image), then
-  /// fans the in-place writes across BaseFsOptions::install_workers
-  /// threads (write_blocks) and checkpoints. Falls back to the legacy
-  /// cache-dirty + commit path when the set does not fit the journal
-  /// region.
+  /// shadow's output blocks. After a quiesce commit (where an empty set
+  /// returns), journal_and_apply_ journals the set as ONE transaction
+  /// (atomic under power cuts: replay yields either the pre-install or
+  /// the fully-installed image), writes it in place across
+  /// BaseFsOptions::install_workers threads and checkpoints. Errors are
+  /// returned; the supervisor's download retry replays, remounts and
+  /// installs again.
   Status install_blocks(const std::vector<InstallBlock>& blocks);
 
   // --- Introspection ----------------------------------------------------
@@ -300,7 +294,8 @@ class BaseFs {
   /// no staged transaction covers the target yet.
   Status commit_upto(uint64_t target_epoch, bool force_checkpoint);
   /// One committer cycle: recover a broken pipeline if needed, rotate the
-  /// open epoch under op_gate_, stage the delta into the journal pipeline.
+  /// open epoch under op_gate_, stage the delta into the journal pipeline
+  /// as one transaction (checkpointing first if it does not fit).
   /// Entered and exited with `lk` (commit_mu_) held and committer_busy_
   /// set by the caller; unlocks internally around IO. Retries internally
   /// when the journal refuses with kBusy (a concurrent staged-transaction
@@ -308,19 +303,31 @@ class BaseFs {
   /// error.
   Status commit_cycle_locked(std::unique_lock<std::mutex>& lk);
   Status commit_cycle_once_(std::unique_lock<std::mutex>& lk);
-  /// Serial fallback for oversized / journal-exhausted deltas: drains the
-  /// pipeline, then chunked synchronous commits with checkpoints between.
-  Status commit_bulk_(std::unique_lock<std::mutex>& lk,
-                      const std::shared_ptr<CommitCtx>& ctx);
+  /// A staging step for closed epoch `upto` failed with `st` (commit_mu_
+  /// held): fail the epoch, unless kBusy sends it to the retry loop.
+  Status fail_epoch_locked_(uint64_t upto, Status st);
   /// Completion callback bound into the journal pipeline for `ctx`.
   Journal::CommitDoneCb make_commit_done_(std::shared_ptr<CommitCtx> ctx);
   /// Checkpoint entry point used after a commit (off the critical path):
   /// acquires committer exclusivity, waits for the pipeline to idle.
   Status checkpoint_now_locked(std::unique_lock<std::mutex>& lk, bool force);
   /// Writes the shadow copies of journaled blocks in place and truncates
-  /// the journal. Pipeline must be idle and the async queue drained;
-  /// commit_mu_ must NOT be held.
+  /// the journal. Pipeline must be idle (the async queue is drained
+  /// here); commit_mu_ must NOT be held.
   Status checkpoint_core_();
+  /// On an empty journal region (so no revoke is needed):
+  /// Journal::commit `records`, write them in place across `workers`
+  /// threads, flush, checkpoint. A set larger than the region splits into
+  /// region-sized transactions, each applied and checkpointed before the
+  /// next.
+  Status journal_and_apply_(const std::vector<JournalRecord>& records,
+                            uint32_t workers);
+  /// Structural checks on one block before it may persist; `cls`
+  /// classifies a data-region block.
+  Status validate_block_(BlockNo block, BlockClass cls,
+                         const BlockBuf& bytes) const;
+  /// validate_block_ over a delta (classes from meta_blocks_), plus the
+  /// bitmap-vs-free-counter cross-check.
   Status validate_dirty_locked(
       const std::vector<std::pair<BlockNo, BlockBufPtr>>& dirty);
   /// Submit `blocks` to the async layer as coalesced contiguous-run
@@ -349,12 +356,6 @@ class BaseFs {
   Status reload_free_inodes_();
 
   // -- metadata download (base_txn.cc) ------------------------------------
-  /// Structural validation of one shadow-produced block (bulk path's
-  /// analogue of validate_dirty_locked; no bitmap-counter cross-check).
-  Status validate_install_block_(const InstallBlock& ib) const;
-  /// Legacy install path: dirty the blocks through the cache and group-
-  /// commit. Used when the install set does not fit the journal region.
-  Status install_blocks_legacy_(const std::vector<InstallBlock>& blocks);
   /// Record every data-region metadata block in `blocks` under ONE
   /// meta_blocks_mu_ acquisition (the bulk install's batched
   /// note_meta_block).

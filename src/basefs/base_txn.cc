@@ -26,6 +26,10 @@ namespace raefs {
 
 namespace {
 
+// Checkpoint (write journaled metadata in place) once the journal is
+// fuller than this after a commit.
+constexpr double kCheckpointFillThreshold = 0.5;
+
 // Commit timing uses the sim clock when present (simulated ns, like every
 // other _ns metric) and falls back to the monotonic clock in benches that
 // run without one.
@@ -131,8 +135,7 @@ Status BaseFs::commit_upto(uint64_t target_epoch, bool force_checkpoint) {
 
   // Checkpoint off the commit critical path: every waiter on this epoch
   // was already released by the done callback; only this caller pays.
-  if (force_checkpoint ||
-      journal_.fill_ratio() > opts_.checkpoint_fill_threshold) {
+  if (force_checkpoint || journal_.fill_ratio() > kCheckpointFillThreshold) {
     std::unique_lock<std::mutex> lk(commit_mu_);
     return checkpoint_now_locked(lk, force_checkpoint);
   }
@@ -241,12 +244,7 @@ Status BaseFs::commit_cycle_once_(std::unique_lock<std::mutex>& lk) {
     lk.unlock();
     Status fst = journal_.flush_async(&async_, make_commit_done_(ctx));
     lk.lock();
-    if (!fst.ok()) {
-      if (fst.error() == Errno::kBusy) return fst;  // retry loop recovers
-      epoch_failed_ = std::max(epoch_failed_, ctx->upto);
-      commit_error_ = fst;
-      return fst;
-    }
+    if (!fst.ok()) return fail_epoch_locked_(ctx->upto, fst);
     return Status::Ok();
   }
 
@@ -276,6 +274,32 @@ Status BaseFs::commit_cycle_once_(std::unique_lock<std::mutex>& lk) {
   group_ops_hist().record(
       static_cast<Nanos>(commit_waiters_.load(std::memory_order_relaxed)));
 
+  // The epoch commits as one transaction. If it does not fit the free
+  // area, the pipeline drains and a checkpoint runs BEFORE the epoch's
+  // data writes: run after them, it could write a stale journaled copy of
+  // a block this epoch freed and reused as file data over that data.
+  if (!ctx->meta.empty() &&
+      !journal_.has_space(ctx->meta.size(), ctx->revokes.size())) {
+    lk.lock();
+    while (epoch_durable_ < epoch_staged_ && !pipeline_broken_) {
+      commit_cv_.wait(lk);
+    }
+    Status cst = pipeline_broken_ ? Status(Errno::kBusy) : Status::Ok();
+    if (cst.ok()) {
+      lk.unlock();
+      cst = checkpoint_core_();
+      lk.lock();
+    }
+    if (!cst.ok()) {
+      return_pending_revokes_(ctx->revokes);
+      return fail_epoch_locked_(ctx->upto, cst);
+    }
+    lk.unlock();
+    // The checkpoint retired every journaled copy the revokes could
+    // suppress, so they are moot, even a list too long for a descriptor.
+    ctx->revokes.clear();
+  }
+
   // Ordered mode, pipelined: submit the in-place data writes now. The
   // journal payload flush barrier queued behind them proves them durable
   // before this epoch's commit record can reach the device; a data write
@@ -297,44 +321,51 @@ Status BaseFs::commit_cycle_once_(std::unique_lock<std::mutex>& lk) {
     ctx->revokes.clear();
     Status fst = journal_.flush_async(&async_, make_commit_done_(ctx));
     lk.lock();
-    if (!fst.ok()) {
-      if (fst.error() == Errno::kBusy) return fst;  // retry loop recovers
-      epoch_failed_ = std::max(epoch_failed_, ctx->upto);
-      commit_error_ = fst;
-      return fst;
-    }
+    if (!fst.ok()) return fail_epoch_locked_(ctx->upto, fst);
     epoch_staged_ = std::max(epoch_staged_, ctx->upto);
     return Status::Ok();
   }
 
-  // One descriptor block addresses max_descriptor_entries() tags+revokes;
-  // the journal free area must also fit the transaction right now (staged
-  // transactions included). Otherwise fall back to the serial bulk path.
-  const size_t pipeline_max = std::min<size_t>(
-      Journal::max_descriptor_entries(),
-      geo_.journal_blocks > 4 ? static_cast<size_t>(geo_.journal_blocks - 3)
-                              : 1);
-  if (ctx->meta.size() + ctx->revokes.size() > pipeline_max ||
-      !journal_.has_space(ctx->meta.size())) {
-    return commit_bulk_(lk, ctx);
+  if (!journal_.has_space(ctx->meta.size())) {
+    // Larger than the whole region, which the checkpoint above emptied:
+    // the one case that still splits. The data writes land first, and
+    // metadata never commits over lost data.
+    async_.drain();
+    Status st = ctx->data_abort &&
+                        ctx->data_abort->load(std::memory_order_acquire)
+                    ? Status(Errno::kIo)
+                    : journal_and_apply_(ctx->meta, 1);
+    if (st.ok()) {  // every piece is home: nothing left to write back
+      std::vector<BlockNo> keys;
+      for (const auto& r : ctx->meta) keys.push_back(r.target);
+      std::lock_guard<std::mutex> g(commit_mu_);
+      block_cache_.mark_clean_upto(keys, ctx->upto);
+    }
+    make_commit_done_(ctx)(st, 0);
+    lk.lock();
+    epoch_staged_ = std::max(epoch_staged_, ctx->upto);
+    return Status::Ok();
   }
 
   auto seq = journal_.commit_async(ctx->meta, &async_, make_commit_done_(ctx),
                                    ctx->data_abort, ctx->revokes);
-  if (!seq.ok() && seq.error() == Errno::kNoSpace) return commit_bulk_(lk, ctx);
   lk.lock();
   if (!seq.ok()) {
-    // kBusy propagates to commit_cycle_locked's retry loop; the rotation
-    // already closed epoch `upto`, and the recovery resnap (base 0) on the
-    // next attempt re-covers its blocks. Anything else fails the epoch.
     return_pending_revokes_(ctx->revokes);
-    if (seq.error() == Errno::kBusy) return seq.error();
-    epoch_failed_ = std::max(epoch_failed_, ctx->upto);
-    commit_error_ = seq.error();
-    return commit_error_;
+    return fail_epoch_locked_(ctx->upto, seq.error());
   }
   epoch_staged_ = std::max(epoch_staged_, ctx->upto);
   return Status::Ok();
+}
+
+Status BaseFs::fail_epoch_locked_(uint64_t upto, Status st) {
+  // kBusy propagates to commit_cycle_locked's retry loop; the rotation
+  // already closed epoch `upto`, and the recovery resnap (base 0) on the
+  // next attempt re-covers its blocks. Anything else fails the epoch.
+  if (st.error() == Errno::kBusy) return st;
+  epoch_failed_ = std::max(epoch_failed_, upto);
+  commit_error_ = st;
+  return st;
 }
 
 Journal::CommitDoneCb BaseFs::make_commit_done_(std::shared_ptr<CommitCtx> ctx) {
@@ -385,99 +416,10 @@ Journal::CommitDoneCb BaseFs::make_commit_done_(std::shared_ptr<CommitCtx> ctx) 
   };
 }
 
-Status BaseFs::commit_bulk_(std::unique_lock<std::mutex>& lk,
-                            const std::shared_ptr<CommitCtx>& ctx) {
-  // Serial fallback for deltas that cannot ride the pipeline (more records
-  // than one descriptor addresses, or the free area is exhausted by staged
-  // transactions). Wait the pipeline idle, then commit in capacity-sized
-  // chunks with checkpoints in between -- like jbd2 splitting an
-  // oversized transaction; each chunk is internally atomic.
-  lk.lock();
-  while (epoch_durable_ < epoch_staged_ && !pipeline_broken_) {
-    commit_cv_.wait(lk);
-  }
-  if (pipeline_broken_) {
-    epoch_failed_ = std::max(epoch_failed_, ctx->upto);
-    if (commit_error_.ok()) commit_error_ = Errno::kIo;
-    return_pending_revokes_(ctx->revokes);
-    return commit_error_;
-  }
-  lk.unlock();
-  async_.drain();
-
-  Status st = Status::Ok();
-  if (ctx->data_abort && ctx->data_abort->load(std::memory_order_acquire)) {
-    st = Errno::kIo;  // this epoch's in-place data writes failed
-  }
-  const size_t max_records = std::min<size_t>(
-      Journal::max_descriptor_entries(),
-      geo_.journal_blocks > 4 ? static_cast<size_t>(geo_.journal_blocks - 3)
-                              : 1);
-  // Revokes ride the chunks' descriptors, front-loaded but never crowding
-  // a chunk's records out entirely; leftovers (failure, or a pathological
-  // revoke count) return to the pending set.
-  std::vector<BlockNo> revokes_left = ctx->revokes;
-  size_t at = 0;
-  while (st.ok() && at < ctx->meta.size()) {
-    const size_t rev_take =
-        std::min(revokes_left.size(), max_records > 1 ? max_records - 1 : 0);
-    const size_t take = std::min(ctx->meta.size() - at, max_records - rev_take);
-    std::vector<JournalRecord> chunk(
-        ctx->meta.begin() + static_cast<ptrdiff_t>(at),
-        ctx->meta.begin() + static_cast<ptrdiff_t>(at + take));
-    std::vector<BlockNo> rev(
-        revokes_left.begin(),
-        revokes_left.begin() + static_cast<ptrdiff_t>(rev_take));
-    if (!journal_.has_space(chunk.size())) {
-      st = checkpoint_core_();
-      if (!st.ok()) break;
-    }
-    auto seq = journal_.commit(chunk, rev);
-    if (!seq.ok()) {
-      st = seq.error();
-      break;
-    }
-    revokes_left.erase(
-        revokes_left.begin(),
-        revokes_left.begin() + static_cast<ptrdiff_t>(rev_take));
-    {
-      std::lock_guard<std::mutex> g(commit_mu_);
-      for (const auto& r : chunk) durable_class_[r.target] = false;
-    }
-    at += take;
-  }
-  return_pending_revokes_(revokes_left);
-
-  lk.lock();
-  if (!st.ok()) {
-    // Chunks already committed stay durable in the journal and shadow
-    // (each was atomic); the epoch as a whole failed and its delta will
-    // be re-staged on retry.
-    epoch_failed_ = std::max(epoch_failed_, ctx->upto);
-    commit_error_ = st;
-    return st;
-  }
-  // The first journal flush ran after the drained data writes, so the
-  // whole epoch is durable.
-  if (!ctx->data_blocks.empty()) {
-    block_cache_.mark_clean_upto(ctx->data_blocks, ctx->upto);
-    for (BlockNo b : ctx->data_blocks) durable_class_[b] = true;
-  }
-  epoch_staged_ = std::max(epoch_staged_, ctx->upto);
-  epoch_durable_ = std::max(epoch_durable_, ctx->upto);
-  commits_.fetch_add(1);
-  commit_latency_hist().record(mono_now(clock_.get()) - ctx->start);
-  if (durable_cb_ && ctx->op_seq > 0) durable_cb_(ctx->op_seq);
-  obs::flight().record(obs::Component::kBaseFs, "commit", "",
-                       clock_ ? clock_->now() : 0,
-                       ctx->meta.size() + ctx->data_blocks.size());
-  return Status::Ok();
-}
-
 Status BaseFs::checkpoint_now_locked(std::unique_lock<std::mutex>& lk,
                                      bool force) {
   while (committer_busy_) commit_cv_.wait(lk);
-  if (!force && journal_.fill_ratio() <= opts_.checkpoint_fill_threshold) {
+  if (!force && journal_.fill_ratio() <= kCheckpointFillThreshold) {
     return Status::Ok();  // raced: another caller already checkpointed
   }
   committer_busy_ = true;
@@ -493,7 +435,6 @@ Status BaseFs::checkpoint_now_locked(std::unique_lock<std::mutex>& lk,
     if (force) st = commit_error_.ok() ? Status(Errno::kIo) : commit_error_;
   } else {
     lk.unlock();
-    async_.drain();
     st = checkpoint_core_();
     lk.lock();
   }
@@ -505,6 +446,7 @@ Status BaseFs::checkpoint_now_locked(std::unique_lock<std::mutex>& lk,
 
 Status BaseFs::checkpoint_core_() {
   obs::TraceSpan span(obs::kSpanBaseCheckpoint, clock_.get());
+  async_.drain();
   // Write the last durably-journaled copy of every journaled block in
   // place, re-read from the journal region itself. Using the journaled
   // copies -- not current cache content -- keeps WAL intact: a block
@@ -583,40 +525,52 @@ Status BaseFs::writeback_coalesced(
   return Status::Ok();
 }
 
+Status BaseFs::validate_block_(BlockNo block, BlockClass cls,
+                               const BlockBuf& bytes) const {
+  if (block == 0) {
+    if (!Superblock::decode(bytes).ok()) return Errno::kCorrupt;
+  } else if (block >= geo_.inode_table_start &&
+             block < geo_.inode_table_start + geo_.inode_table_blocks) {
+    for (uint32_t slot = 0; slot < kInodesPerBlock; ++slot) {
+      auto inode = DiskInode::decode(
+          std::span<const uint8_t>(bytes).subspan(slot * kInodeSize,
+                                                  kInodeSize),
+          geo_);
+      if (!inode.ok()) return Errno::kCorrupt;
+    }
+  } else if (geo_.is_data_block(block)) {
+    if (cls == BlockClass::kDirMeta) {
+      if (!dirent_scan_block(bytes).ok()) return Errno::kCorrupt;
+    } else if (cls == BlockClass::kIndirectMeta) {
+      for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
+        uint64_t ptr = 0;
+        std::memcpy(&ptr, bytes.data() + i * 8, sizeof(ptr));
+        if (ptr != 0 && !geo_.is_data_block(ptr)) return Errno::kCorrupt;
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 Status BaseFs::validate_dirty_locked(
     const std::vector<std::pair<BlockNo, BlockBufPtr>>& dirty) {
   bool bitmap_touched = false;
   for (const auto& [block, bytes] : dirty) {
-    if (block == 0) {
-      if (!Superblock::decode(*bytes).ok()) return Errno::kCorrupt;
-    } else if (block >= geo_.inode_table_start &&
-               block < geo_.inode_table_start + geo_.inode_table_blocks) {
-      for (uint32_t slot = 0; slot < kInodesPerBlock; ++slot) {
-        auto inode = DiskInode::decode(
-            std::span<const uint8_t>(*bytes).subspan(slot * kInodeSize,
-                                                     kInodeSize),
-            geo_);
-        if (!inode.ok()) return Errno::kCorrupt;
-      }
-    } else if ((block >= geo_.inode_bitmap_start &&
-                block < geo_.inode_bitmap_start + geo_.inode_bitmap_blocks) ||
-               (block >= geo_.block_bitmap_start &&
-                block < geo_.block_bitmap_start + geo_.block_bitmap_blocks)) {
+    if ((block >= geo_.inode_bitmap_start &&
+         block < geo_.inode_bitmap_start + geo_.inode_bitmap_blocks) ||
+        (block >= geo_.block_bitmap_start &&
+         block < geo_.block_bitmap_start + geo_.block_bitmap_blocks)) {
       bitmap_touched = true;
-    } else if (geo_.is_data_block(block)) {
+      continue;
+    }
+    BlockClass cls = BlockClass::kFileData;
+    if (geo_.is_data_block(block)) {
       std::lock_guard<std::mutex> lk(meta_blocks_mu_);
       auto it = meta_blocks_.find(block);
       if (it == meta_blocks_.end()) continue;  // file data: not validated
-      if (it->second == BlockClass::kDirMeta) {
-        if (!dirent_scan_block(*bytes).ok()) return Errno::kCorrupt;
-      } else if (it->second == BlockClass::kIndirectMeta) {
-        for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-          uint64_t ptr = 0;
-          std::memcpy(&ptr, bytes->data() + i * 8, sizeof(ptr));
-          if (ptr != 0 && !geo_.is_data_block(ptr)) return Errno::kCorrupt;
-        }
-      }
+      cls = it->second;
     }
+    RAEFS_TRY_VOID(validate_block_(block, cls, *bytes));
   }
 
   if (bitmap_touched) {
@@ -646,13 +600,43 @@ Status BaseFs::validate_dirty_locked(
   return Status::Ok();
 }
 
+Status BaseFs::journal_and_apply_(const std::vector<JournalRecord>& records,
+                                  uint32_t workers) {
+  // Pieces that fit the empty region (the header excluded), each
+  // checkpointed before the next.
+  const uint64_t region = geo_.journal_blocks - 1;
+  size_t at = 0;
+  while (at < records.size()) {
+    size_t take = std::min<size_t>(records.size() - at, region - 2);
+    while (Journal::blocks_needed(take) > region) --take;
+    const std::vector<JournalRecord> piece(
+        records.begin() + static_cast<ptrdiff_t>(at),
+        records.begin() + static_cast<ptrdiff_t>(at + take));
+    RAEFS_TRY_VOID(journal_.commit(piece, {}, workers));
+    {
+      obs::TraceSpan span(obs::kSpanBaseInstallApply, clock_.get());
+      std::vector<BlockWrite> writes;
+      writes.reserve(piece.size());
+      for (const auto& r : piece) writes.push_back({r.target, *r.data});
+      // The journal still holds the committed piece, so a failed write is
+      // recoverable: replay applies it.
+      RAEFS_TRY_VOID(write_blocks(dev_, writes, workers));
+    }
+    RAEFS_TRY_VOID(dev_->flush());
+    // Every record is in place and durable: retire the piece.
+    RAEFS_TRY_VOID(journal_.checkpoint());
+    at += take;
+  }
+  return Status::Ok();
+}
+
 Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
   // Called by the supervisor on a freshly mounted (rebooted) base with no
-  // concurrent operations (paper §3.2 hand-off). The bulk path journals
-  // the whole set as ONE multi-chunk install transaction, applies it in
-  // place through write_blocks, and checkpoints -- a power cut anywhere
-  // in between replays to either the pre-install or the fully-installed
-  // image, never a mix.
+  // concurrent operations (paper §3.2 hand-off). journal_and_apply_
+  // journals the set as ONE transaction when it fits the region, applies
+  // it in place, and checkpoints -- a power cut anywhere in between
+  // replays to either the pre-install or the fully-installed image, never
+  // a mix.
   for (const auto& ib : blocks) {
     if (ib.block >= geo_.total_blocks || ib.data.size() != kBlockSize) {
       return Errno::kInval;
@@ -662,12 +646,15 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
       return Errno::kInval;  // the shadow never produces journal blocks
     }
   }
-  if (blocks.empty()) return install_blocks_legacy_(blocks);
 
   // Quiesce: drain the pipeline and checkpoint whatever the journal
-  // already holds, so the checkpoint below cannot raise the floor over
-  // some other transaction's committed-but-not-yet-in-place state.
+  // already holds, so the install starts on an empty region and its
+  // checkpoint cannot raise the floor over some other transaction's
+  // committed-but-not-yet-in-place state. An empty region also leaves no
+  // journaled copy for a pending revoke to suppress, so none rides the
+  // install.
   RAEFS_TRY_VOID(commit_txn(/*force_checkpoint=*/true));
+  if (blocks.empty()) return Status::Ok();
 
   // Latest copy per target (the shadow's output is normally duplicate-
   // free; the dedup keeps the parallel apply race-free regardless),
@@ -683,15 +670,15 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
             });
 
   if (opts_.validate_on_sync) {
-    // Detection before persistence, same contract as the commit path's
-    // validate_dirty_locked: a structurally corrupt shadow output must
-    // never reach the journal or the device. The bitmap-vs-counter
-    // cross-check is deliberately omitted -- installed bitmaps replace
-    // the counters (reloaded below), so they legitimately disagree with
-    // the pre-install values.
+    // Detection before persistence, the commit path's per-block checks
+    // with the class taken from the shadow's annotation (the set is not
+    // noted until after the apply). The bitmap-vs-counter cross-check is
+    // deliberately omitted -- installed bitmaps replace the counters
+    // (reloaded below), so they legitimately disagree with the
+    // pre-install values.
     Status valid = Status::Ok();
     for (const InstallBlock* ib : uniq) {
-      valid = validate_install_block_(*ib);
+      valid = validate_block_(ib->block, ib->cls, ib->data);
       if (!valid.ok()) break;
     }
     BASE_BUG_ON(!valid.ok(), "basefs.validate_on_sync",
@@ -704,36 +691,9 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
     records.emplace_back(ib->block, std::make_shared<const BlockBuf>(ib->data));
   }
 
-  std::vector<BlockNo> revokes = take_pending_revokes_();
-  std::vector<BlockNo> carried = revokes;
-  // A revoke sharing the install transaction's sequence number would
-  // suppress this very transaction's record for the block at replay:
-  // re-journaled blocks are never revoked (same rule as group commit).
-  std::erase_if(carried, [&](BlockNo b) { return latest.count(b) > 0; });
-
+  // In-place apply fanned across the device's usable queue depth.
   const uint32_t workers = resolve_workers(opts_.install_workers, dev_);
-  Result<uint64_t> seq = journal_.commit(records, carried, workers);
-  if (!seq.ok()) {
-    // The set does not fit the journal region (or the engine refused):
-    // fall back to the legacy cache-dirty path, which chunks through the
-    // ordinary commit machinery.
-    return_pending_revokes_(revokes);
-    return install_blocks_legacy_(blocks);
-  }
-
-  // In-place apply, fanned across the device's usable queue depth.
-  {
-    obs::TraceSpan span(obs::kSpanBaseInstallApply, clock_.get());
-    std::vector<BlockWrite> writes;
-    writes.reserve(uniq.size());
-    for (const InstallBlock* ib : uniq) writes.push_back({ib->block, ib->data});
-    // The journal still holds the committed install transaction, so a
-    // failed apply is recoverable: the supervisor's retry replays it.
-    RAEFS_TRY_VOID(write_blocks(dev_, writes, workers));
-  }
-  RAEFS_TRY_VOID(dev_->flush());
-  // Every record is in place and durable: retire the install transaction.
-  RAEFS_TRY_VOID(journal_.checkpoint());
+  RAEFS_TRY_VOID(journal_and_apply_(records, workers));
 
   // Warm the cache with the installed bytes (clean -- the device already
   // holds them), then invalidate only the derived state the set touches.
@@ -748,57 +708,9 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
 
   commits_.fetch_add(1);
   checkpoints_.fetch_add(1);
-  obs::flight().record(obs::Component::kBaseFs, "install_blocks", "bulk",
+  obs::flight().record(obs::Component::kBaseFs, "install_blocks", "",
                        clock_ ? clock_->now() : 0, blocks.size(), workers);
   return Status::Ok();
-}
-
-Status BaseFs::validate_install_block_(const InstallBlock& ib) const {
-  // Structural checks mirroring validate_dirty_locked, except the block
-  // class comes from the shadow's annotation (ib.cls) instead of the
-  // meta_blocks_ map -- the set is not noted until after the apply.
-  const BlockNo block = ib.block;
-  const BlockBuf& bytes = ib.data;
-  if (block == 0) {
-    if (!Superblock::decode(bytes).ok()) return Errno::kCorrupt;
-  } else if (block >= geo_.inode_table_start &&
-             block < geo_.inode_table_start + geo_.inode_table_blocks) {
-    for (uint32_t slot = 0; slot < kInodesPerBlock; ++slot) {
-      auto inode = DiskInode::decode(
-          std::span<const uint8_t>(bytes).subspan(slot * kInodeSize,
-                                                  kInodeSize),
-          geo_);
-      if (!inode.ok()) return Errno::kCorrupt;
-    }
-  } else if (geo_.is_data_block(block)) {
-    if (ib.cls == BlockClass::kDirMeta) {
-      if (!dirent_scan_block(bytes).ok()) return Errno::kCorrupt;
-    } else if (ib.cls == BlockClass::kIndirectMeta) {
-      for (uint32_t i = 0; i < kPtrsPerBlock; ++i) {
-        uint64_t ptr = 0;
-        std::memcpy(&ptr, bytes.data() + i * 8, sizeof(ptr));
-        if (ptr != 0 && !geo_.is_data_block(ptr)) return Errno::kCorrupt;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status BaseFs::install_blocks_legacy_(const std::vector<InstallBlock>& blocks) {
-  // Pre-bulk install path: dirty the blocks through the ordinary cache +
-  // commit machinery. The caller has already validated the set.
-  for (const auto& ib : blocks) {
-    RAEFS_TRY_VOID(block_cache_.write(ib.block, ib.data));
-    if (geo_.is_data_block(ib.block)) note_meta_block(ib.block, ib.cls);
-  }
-  // Installed bitmaps invalidate cached derived state.
-  inode_cache_.drop_all();
-  dentry_cache_.drop_all();
-  RAEFS_TRY_VOID(reload_counters());
-  obs::flight().record(obs::Component::kBaseFs, "install_blocks", "legacy",
-                       clock_ ? clock_->now() : 0, blocks.size());
-  // Make the recovered state durable before any new operation is admitted.
-  return commit_txn(/*force_checkpoint=*/true);
 }
 
 void BaseFs::note_meta_blocks_batch_(const std::vector<InstallBlock>& blocks) {

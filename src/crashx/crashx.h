@@ -46,9 +46,11 @@ namespace crashx {
 struct CrashxOptions {
   uint64_t seed = 42;
   size_t num_ops = 64;
-  /// Force a full sync() every this many ops (keeps per-commit dirty sets
-  /// small so a commit never chunks across journal transactions, and
-  /// gives the oracle frequent durable points).
+  /// Force a full sync() every this many ops: frequent durable points
+  /// for the oracle. It also keeps every epoch far below one journal
+  /// descriptor, so generated workloads never reach a multi-chunk commit;
+  /// the Persistence power-cut sweep in test_basefs_persistence covers
+  /// that shape.
   size_t sync_every = 8;
 
   /// Image geometry for the master device.

@@ -169,6 +169,44 @@ uint32_t payload_crc(const std::vector<JournalRecord>& records,
   return crc;
 }
 
+/// What both commit paths refuse: an empty set, a payload that is not one
+/// block, or a revoke list that leaves the first descriptor no tag.
+Status check_txn(const std::vector<JournalRecord>& records,
+                 const std::vector<BlockNo>& revoked) {
+  if (records.empty()) return Errno::kInval;
+  if (revoked.size() >= Journal::max_descriptor_entries()) return Errno::kInval;
+  for (const auto& r : records) {
+    if (!r.data || r.data->size() != kBlockSize) return Errno::kInval;
+  }
+  return Status::Ok();
+}
+
+/// The transaction's blocks in journal order, commit record excluded:
+/// descriptor chunks that repeat `seq`, each followed by its payloads.
+/// The revoke list rides in the first chunk only, so that chunk holds
+/// what the revokes leave over.
+std::vector<BlockBufPtr> lay_out(uint64_t seq,
+                                 const std::vector<JournalRecord>& records,
+                                 const std::vector<BlockNo>& revoked) {
+  std::vector<BlockBufPtr> blocks;
+  blocks.reserve(Journal::blocks_needed(records.size(), revoked.size()) - 1);
+  size_t idx = 0;
+  while (idx < records.size()) {
+    const size_t cap = idx == 0
+                           ? Journal::max_descriptor_entries() - revoked.size()
+                           : Journal::max_descriptor_entries();
+    const size_t n = std::min(cap, records.size() - idx);
+    Descriptor d;
+    d.seq = seq;
+    for (size_t i = 0; i < n; ++i) d.targets.push_back(records[idx + i].target);
+    if (idx == 0) d.revoked = revoked;
+    blocks.push_back(std::make_shared<const BlockBuf>(encode_descriptor(d)));
+    for (size_t i = 0; i < n; ++i) blocks.push_back(records[idx + i].data);
+    idx += n;
+  }
+  return blocks;
+}
+
 /// One committed transaction found by a scan.
 struct ScannedTxn {
   uint64_t seq = 0;
@@ -361,9 +399,10 @@ Status Journal::open() {
   return Status::Ok();
 }
 
-bool Journal::has_space(size_t nrecords) const {
+bool Journal::has_space(size_t nrecords, size_t nrevoked) const {
+  if (nrevoked >= max_descriptor_entries()) return false;  // no layout
   std::lock_guard<std::mutex> lk(mu_);
-  return cursor_ + blocks_needed(nrecords) <=
+  return cursor_ + blocks_needed(nrecords, nrevoked) <=
          geo_.journal_start + geo_.journal_blocks;
 }
 
@@ -382,11 +421,7 @@ uint64_t Journal::blocks_needed(size_t nrecords, size_t nrevoked) {
 Result<uint64_t> Journal::commit(const std::vector<JournalRecord>& records,
                                  const std::vector<BlockNo>& revoked,
                                  uint32_t workers) {
-  if (records.empty()) return Errno::kInval;
-  if (revoked.size() >= max_descriptor_entries()) return Errno::kInval;
-  for (const auto& r : records) {
-    if (!r.data || r.data->size() != kBlockSize) return Errno::kInval;
-  }
+  RAEFS_TRY_VOID(check_txn(records, revoked));
   std::lock_guard<std::mutex> lk(mu_);
   if (!staged_.empty() || pipeline_failed_) return Errno::kBusy;
   const uint64_t blocks = blocks_needed(records.size(), revoked.size());
@@ -395,32 +430,13 @@ Result<uint64_t> Journal::commit(const std::vector<JournalRecord>& records,
   }
   const uint64_t seq = next_seq_;
 
-  // Lay the transaction out first: every chunk descriptor (repeating
-  // seq) and payload block has a fixed position, so the pre-barrier
-  // writes are order-free. The revoke list rides in the first chunk
-  // only, so its capacity is what the revokes leave over.
-  std::vector<std::vector<uint8_t>> descriptors;
-  descriptors.reserve(blocks - records.size() - 1);  // spans stay valid
+  // Every block of the layout has a fixed position, so the pre-barrier
+  // writes are order-free.
+  const std::vector<BlockBufPtr> laid = lay_out(seq, records, revoked);
   std::vector<BlockWrite> writes;
-  writes.reserve(blocks - 1);
+  writes.reserve(laid.size());
   BlockNo pos = cursor_;
-  size_t idx = 0;
-  while (idx < records.size()) {
-    const size_t cap = idx == 0 ? max_descriptor_entries() - revoked.size()
-                                : max_descriptor_entries();
-    const size_t n = std::min(cap, records.size() - idx);
-    Descriptor d;
-    d.seq = seq;
-    for (size_t i = 0; i < n; ++i) {
-      d.targets.push_back(records[idx + i].target);
-    }
-    if (idx == 0) d.revoked = revoked;
-    writes.push_back({pos++, descriptors.emplace_back(encode_descriptor(d))});
-    for (size_t i = 0; i < n; ++i) {
-      writes.push_back({pos++, *records[idx + i].data});
-    }
-    idx += n;
-  }
+  for (const auto& block : laid) writes.push_back({pos++, *block});
   RAEFS_TRY_VOID(write_blocks(dev_, writes, workers));
   // Barrier: every chunk durable before the one commit record exists, so
   // a power cut leaves either no commit record (the whole set is a torn
@@ -448,24 +464,18 @@ Result<uint64_t> Journal::commit_async(
     CommitDoneCb done,
     std::shared_ptr<const std::atomic<bool>> external_abort,
     const std::vector<BlockNo>& revoked) {
-  if (records.empty()) return Errno::kInval;
-  if (records.size() + revoked.size() > max_descriptor_entries()) {
-    return Errno::kInval;
-  }
-  for (const auto& r : records) {
-    if (!r.data || r.data->size() != kBlockSize) return Errno::kInval;
-  }
+  RAEFS_TRY_VOID(check_txn(records, revoked));
   auto txn = std::make_shared<Staged>();
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (pipeline_failed_) return Errno::kBusy;
-    if (cursor_ + blocks_needed(records.size()) >
-        geo_.journal_start + geo_.journal_blocks) {
+    const uint64_t blocks = blocks_needed(records.size(), revoked.size());
+    if (cursor_ + blocks > geo_.journal_start + geo_.journal_blocks) {
       return Errno::kNoSpace;
     }
     txn->seq = next_seq_++;
     txn->start = cursor_;
-    txn->nblocks = blocks_needed(records.size());
+    txn->nblocks = blocks;
     txn->ntags = static_cast<uint32_t>(records.size());
     txn->crc = payload_crc(records, revoked);
     txn->external_abort = std::move(external_abort);
@@ -474,22 +484,15 @@ Result<uint64_t> Journal::commit_async(
     staged_.push_back(txn);
     async_ = async;
   }
-  // Descriptor + payload go out as one coalesced extent write; callers
-  // serialize commit_async calls (single committer), so staging order is
-  // submission order. The flush barrier behind them proves the payload
-  // durable before the commit record may exist (write-ahead rule).
-  Descriptor d;
-  d.seq = txn->seq;
-  for (const auto& r : records) d.targets.push_back(r.target);
-  d.revoked = revoked;
-  std::vector<BlockBufPtr> bufs;
-  bufs.reserve(records.size() + 1);
-  bufs.push_back(std::make_shared<const BlockBuf>(encode_descriptor(d)));
-  for (const auto& r : records) bufs.push_back(r.data);
+  // Every chunk goes out as one coalesced extent write; callers serialize
+  // commit_async calls (single committer), so staging order is submission
+  // order. The flush barrier behind them proves the payload durable
+  // before the commit record may exist (write-ahead rule).
   StagedPtr t = txn;
-  async->submit_writev(txn->start, std::move(bufs), [this, t](Status st) {
-    if (!st.ok()) note_write_error_(t, st);
-  });
+  async->submit_writev(txn->start, lay_out(txn->seq, records, revoked),
+                       [this, t](Status st) {
+                         if (!st.ok()) note_write_error_(t, st);
+                       });
   async->submit_flush([this, t](Status st) { on_payload_barrier_(t, st); });
   return txn->seq;
 }

@@ -13,12 +13,14 @@
 //       ntags payload blocks (raw images of the target blocks)
 //       commit block     {magic, kind=2, seq, ntags, payload_crc}
 //
-// A transaction larger than one descriptor can hold (a commit() of many
-// records, e.g. the recovery download's bulk install) is written as SEVERAL
-// descriptor+payload chunks sharing ONE sequence number, closed by a
-// single commit record whose ntags is the total record count and whose
-// payload_crc chains every chunk's records in order (revokes ride in the
-// first chunk only). The scanner accumulates continuation chunks -- a
+// Both commit paths share one layout. A transaction larger than one
+// descriptor can hold -- a big epoch's delta or the recovery download's
+// install set -- is written as SEVERAL descriptor+payload chunks sharing
+// ONE sequence number, closed by a single commit record whose ntags is
+// the total record count and whose payload_crc chains every chunk's
+// records in order (revokes ride in the first chunk only). A transaction
+// whose tags and revokes fit one descriptor is the one-chunk case of the
+// same layout. The scanner accumulates continuation chunks -- a
 // descriptor repeating the current seq where the commit record would sit
 // -- until the commit record appears; no commit record means the whole
 // multi-chunk transaction is a torn tail, atomically discarded. Old
@@ -114,8 +116,9 @@ class Journal {
     return (kBlockSize - 32) / 8;
   }
 
-  /// True if a transaction of `nrecords` records fits in the free area.
-  bool has_space(size_t nrecords) const;
+  /// True if a transaction of `nrecords` records and `nrevoked` revokes
+  /// fits in the free area (never when the revokes fill a descriptor).
+  bool has_space(size_t nrecords, size_t nrevoked = 0) const;
 
   /// Durably commit one transaction of any size: every descriptor+payload
   /// chunk (one chunk when records + revokes fit a descriptor; see the
@@ -126,8 +129,8 @@ class Journal {
   /// transaction's) must not be replayed; it must leave room for at least
   /// one tag in the first descriptor (kInval otherwise). Requires an idle
   /// pipeline (kBusy otherwise) and enough free journal space for every
-  /// chunk (kNoSpace otherwise; nothing is written). Used by the oversized-
-  /// transaction fallback, the recovery download's bulk install and tests.
+  /// chunk (kNoSpace otherwise; nothing is written). Used by the base's
+  /// install and by a group commit larger than the whole region.
   ///
   /// The pre-barrier blocks all land at precomputed positions, so their
   /// order is irrelevant -- the flush barrier alone orders the set against
@@ -142,10 +145,11 @@ class Journal {
   /// the transaction is durable (commit record flushed) or has failed.
   using CommitDoneCb = std::function<void(Status, uint64_t seq)>;
 
-  /// Pipelined group commit. Reserves (seq, journal blocks) and submits
-  /// descriptor+payload as one coalesced writev through `async`, followed
-  /// by a flush barrier. The commit record is submitted only once (a) the
-  /// barrier completed, proving the payload durable first, (b) every
+  /// Pipelined group commit, in commit()'s layout. Reserves (seq, journal
+  /// blocks) and submits every chunk as one coalesced writev through
+  /// `async`, followed by a flush barrier. The commit record is submitted
+  /// only once (a) the barrier completed, proving the payload durable
+  /// first, (b) every
   /// earlier staged transaction is durable (commit records are strictly
   /// sequenced, so a surviving commit record with seq N proves all seqs
   /// < N committed -- the torn-tail classification's prefix property),
@@ -159,7 +163,8 @@ class Journal {
   /// Descriptor+payload blocks of transaction N+1 may reach the device
   /// while transaction N's commit record + flush are still in flight:
   /// that is the pipelining. Returns the reserved sequence number, or
-  /// kNoSpace / kBusy (pipeline failed; rewind first) synchronously.
+  /// kInval / kNoSpace (as commit()) / kBusy (pipeline failed; rewind
+  /// first) synchronously.
   Result<uint64_t> commit_async(const std::vector<JournalRecord>& records,
                                 AsyncBlockDevice* async, CommitDoneCb done,
                                 std::shared_ptr<const std::atomic<bool>>
@@ -240,7 +245,7 @@ class Journal {
   struct Staged {
     uint64_t seq = 0;
     BlockNo start = 0;      // descriptor position
-    uint64_t nblocks = 0;   // blocks_needed(ntags); 0 = barrier-only
+    uint64_t nblocks = 0;   // blocks_needed(); 0 = barrier-only
     uint32_t ntags = 0;
     uint32_t crc = 0;
     bool payload_done = false;  // payload barrier completed OK

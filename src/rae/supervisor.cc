@@ -16,6 +16,14 @@
 namespace raefs {
 namespace {
 
+/// Transient-fault tolerance for the recovery pipeline's own IO: how many
+/// times to re-run journal replay (reboot phase) and the metadata download
+/// when they fail with a device error, before declaring the recovery
+/// failed. Both are idempotent -- replay reapplies the same committed
+/// transactions and the download installs the same shadow blocks -- so
+/// re-running the phase after a transient EIO is safe.
+constexpr uint32_t kRecoveryIoRetries = 2;
+
 /// Flight-recorder tail for an incident report: the last `limit` events,
 /// formatted like FlightRecorder::dump lines (one string each).
 std::vector<std::string> flight_tail_lines(size_t limit) {
@@ -326,8 +334,8 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
     // Replay is idempotent; a transient device error mid-replay vanishes
     // on a re-run, so don't take the filesystem offline for one EIO.
     auto replay = Journal::replay(dev_, geo, replay_workers);
-    for (uint32_t attempt = 0;
-         !replay.ok() && attempt < opts_.recovery_io_retries; ++attempt) {
+    for (uint32_t attempt = 0; !replay.ok() && attempt < kRecoveryIoRetries;
+         ++attempt) {
       ++stats_.recovery_io_retries;
       RAEFS_LOG_WARN("rae") << "journal replay attempt " << attempt + 1
                             << " failed; retrying";
@@ -380,8 +388,7 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
     // A base panic is NOT retried -- the shadow output deterministically
     // trips an invariant and would panic identically every attempt.
     Status downloaded = Errno::kIo;
-    for (uint32_t attempt = 0; attempt <= opts_.recovery_io_retries;
-         ++attempt) {
+    for (uint32_t attempt = 0; attempt <= kRecoveryIoRetries; ++attempt) {
       // Each attempt gets its own child span so a trace of a flaky device
       // shows every re-run (and what it cost), not one opaque phase.
       obs::TraceSpan as(obs::kSpanRecoveryDownloadAttempt, clock_.get(),

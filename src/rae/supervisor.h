@@ -68,14 +68,6 @@ struct RaeOptions {
   /// image refuses identically every time.
   uint32_t shadow_retries = 2;
 
-  /// Transient-fault tolerance for the recovery pipeline's own IO: how
-  /// many times to re-run journal replay (reboot phase) and the metadata
-  /// download when they fail with a device error, before declaring the
-  /// recovery failed. Both are idempotent -- replay reapplies the same
-  /// committed transactions and the download installs the same shadow
-  /// blocks -- so re-running the phase after a transient EIO is safe.
-  uint32_t recovery_io_retries = 2;
-
   // --- recovery parallelism & verification (docs/RECOVERY.md) ----------
 
   /// Worker threads for journal replay during the reboot phase. Replay is

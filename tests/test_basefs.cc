@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "faults/bug_library.h"
+#include "fsck/fsck.h"
 #include "tests/support/fixtures.h"
 
 namespace raefs {
@@ -444,6 +445,54 @@ TEST_F(BaseFsTest, ConcurrentNamespaceChurn) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(created.load(), 200);
+}
+
+TEST(BaseFsConcurrency, FsyncStormAcrossCheckpointFirstCommits) {
+  // Four threads each create directories (a new dir block, two inodes and
+  // a parent dirent per step) and fsync, on a journal so small that one
+  // epoch fills much of it. Staged epochs leave the next one no room, so
+  // its committer waits for the pipeline to go idle and checkpoints
+  // before its data writes -- while the other threads block on their
+  // epochs' acks. Every fsync must succeed and the tree must survive.
+  TestFsOptions opts;
+  opts.with_clock = false;  // real threads, real async workers
+  opts.journal_blocks = 24;
+  auto t = make_test_fs(opts);
+  constexpr int kThreads = 4;
+  constexpr int kSteps = 20;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int tno = 0; tno < kThreads; ++tno) {
+    threads.emplace_back([&, tno] {
+      for (int i = 0; i < kSteps; ++i) {
+        const std::string dir =
+            "/t" + std::to_string(tno) + "_" + std::to_string(i);
+        auto ino = t.fs->mkdir(dir, 0755);
+        if (!ino.ok() || !t.fs->create(dir + "/f", 0644).ok() ||
+            !t.fs->fsync(ino.value()).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(t.fs->stats().checkpoints, 0u);
+  ASSERT_TRUE(t.fs->unmount().ok());
+  auto report = fsck(t.device.get(), FsckLevel::kStrict);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().consistent()) << report.value().summary();
+
+  auto fs2 = BaseFs::mount(t.device.get(), opts.base);
+  ASSERT_TRUE(fs2.ok());
+  for (int tno = 0; tno < kThreads; ++tno) {
+    for (int i = 0; i < kSteps; ++i) {
+      EXPECT_TRUE(fs2.value()
+                      ->lookup("/t" + std::to_string(tno) + "_" +
+                               std::to_string(i) + "/f")
+                      .ok());
+    }
+  }
 }
 
 TEST_F(BaseFsTest, UnmountThenOpsFailGracefully) {

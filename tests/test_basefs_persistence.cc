@@ -3,6 +3,7 @@
 // fsck-clean invariant after every path.
 #include <gtest/gtest.h>
 
+#include "blockdev/fault_device.h"
 #include "fsck/fsck.h"
 #include "tests/support/fixtures.h"
 
@@ -177,6 +178,134 @@ TEST(Persistence, OversizedTransactionSplitsAndSurvives) {
   ASSERT_TRUE(fs2.ok());
   for (int i = 0; i < 60; ++i) {
     EXPECT_TRUE(fs2.value()->lookup("/dir" + std::to_string(i)).ok());
+  }
+}
+
+TEST(Persistence, CheckpointBeforeDataKeepsReallocatedPointerBlock) {
+  // X's pointer block I is journaled and not yet checkpointed when the
+  // next epoch frees it (a pending revoke) and a file Y wraps onto it as
+  // data. That epoch's metadata does not fit the journal's free area, so
+  // a checkpoint must run -- and it writes I's stale journaled copy home.
+  // It must do so before Y's in-place write, never between that write and
+  // the commit of the revoke. 100 directories still fit one transaction;
+  // 200 overflow the whole region and take the split path.
+  for (int dirs : {100, 200}) {
+    SCOPED_TRACE(dirs);
+    TestFsOptions opts;
+    opts.inode_count = 1024;  // the default mkfs geometry
+    auto t = make_test_fs(opts);
+
+    // Epoch A: a filler that leaves a short free tail, then X, whose 13th
+    // block needs the indirect pointer block I.
+    auto filler = t.fs->create("/filler", 0644);
+    ASSERT_TRUE(filler.ok());
+    ASSERT_TRUE(
+        t.fs->write(filler.value(), 0, 0, pattern_bytes(3650 * kBlockSize, 1))
+            .ok());
+    auto x = t.fs->create("/x", 0644);
+    ASSERT_TRUE(x.ok());
+    ASSERT_TRUE(
+        t.fs->write(x.value(), 0, 0, pattern_bytes(13 * kBlockSize, 2)).ok());
+    ASSERT_TRUE(t.fs->sync().ok());
+
+    // Epoch B: free X's blocks, I included; then metadata beyond the free
+    // area; then Y over every free block, so the next-fit allocator wraps
+    // onto X's old blocks.
+    ASSERT_TRUE(t.fs->truncate(x.value(), 0, 0).ok());
+    for (int i = 0; i < dirs; ++i) {
+      const std::string dir = "/d" + std::to_string(i);
+      ASSERT_TRUE(t.fs->mkdir(dir, 0755).ok());
+      ASSERT_TRUE(t.fs->create(dir + "/f", 0644).ok());
+    }
+    const uint64_t y_blocks = t.fs->free_blocks() - 1;  // one pointer block
+    ASSERT_LT(y_blocks, kNumDirect + kPtrsPerBlock);
+    const auto y_data = pattern_bytes(y_blocks * kBlockSize, 3);
+    auto y = t.fs->create("/y", 0644);
+    ASSERT_TRUE(y.ok());
+    ASSERT_TRUE(t.fs->write(y.value(), 0, 0, y_data).ok());
+    ASSERT_EQ(t.fs->free_blocks(), 0u);
+    ASSERT_TRUE(t.fs->sync().ok());
+    ASSERT_TRUE(t.fs->unmount().ok());
+
+    auto fs2 = BaseFs::mount(t.device.get(), default_base(), t.clock);
+    ASSERT_TRUE(fs2.ok());
+    auto st = fs2.value()->stat("/y");
+    ASSERT_TRUE(st.ok());
+    auto back = fs2.value()->read(st.value().ino, 0, 0, y_data.size());
+    ASSERT_TRUE(back.ok());
+    EXPECT_TRUE(back.value() == y_data) << "a block of Y was overwritten";
+    ASSERT_TRUE(fs2.value()->unmount().ok());
+    auto report = fsck(t.device.get(), FsckLevel::kStrict);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().consistent()) << report.value().summary();
+  }
+}
+
+TEST(Persistence, PowerCutInLargeSyncKeepsAllOrNothing) {
+  // One sync of 600 directories, each holding a file: 688 metadata
+  // blocks, more than one descriptor addresses yet well inside the empty
+  // 1024-block journal. The epoch must commit as ONE transaction, so a
+  // power cut at any of the sync's writes leaves every file or none.
+  constexpr int kDirs = 600;
+  MkfsOptions mkfs;
+  mkfs.total_blocks = 16384;
+  mkfs.inode_count = 4096;
+  mkfs.journal_blocks = 1024;
+
+  struct Rig {
+    std::unique_ptr<MemBlockDevice> mem;
+    std::unique_ptr<FaultBlockDevice> dev;
+    std::unique_ptr<BaseFs> fs;
+  };
+  // Fresh image with the tree created but not yet synced.
+  auto build = [&](Rig* rig) {
+    rig->mem = std::make_unique<MemBlockDevice>(mkfs.total_blocks);
+    rig->dev = std::make_unique<FaultBlockDevice>(rig->mem.get());
+    ASSERT_TRUE(BaseFs::mkfs(rig->dev.get(), mkfs).ok());
+    auto mounted = BaseFs::mount(rig->dev.get(), default_base());
+    ASSERT_TRUE(mounted.ok());
+    rig->fs = std::move(mounted).value();
+    for (int i = 0; i < kDirs; ++i) {
+      const std::string dir = "/d" + std::to_string(i);
+      ASSERT_TRUE(rig->fs->mkdir(dir, 0755).ok());
+      ASSERT_TRUE(rig->fs->create(dir + "/f", 0644).ok());
+    }
+  };
+
+  uint64_t first = 0;
+  uint64_t last = 0;
+  {
+    Rig baseline;
+    ASSERT_NO_FATAL_FAILURE(build(&baseline));
+    first = baseline.dev->writes_seen();
+    ASSERT_TRUE(baseline.fs->sync().ok());
+    last = baseline.dev->writes_seen();
+  }
+  ASSERT_GT(last - first, 2u * Journal::max_descriptor_entries());
+
+  // A commit split in two leaves ~180 consecutive cut points with only
+  // the first half durable; a stride of 40 lands several cuts there.
+  for (uint64_t cut = first; cut < last; cut += 40) {
+    SCOPED_TRACE(cut);
+    Rig rig;
+    ASSERT_NO_FATAL_FAILURE(build(&rig));
+    rig.dev->arm_crash_after_writes(cut);
+    EXPECT_FALSE(rig.fs->sync().ok());
+    rig.fs.reset();
+    rig.dev->disarm();
+    rig.mem->crash();
+
+    auto fs2 = BaseFs::mount(rig.mem.get(), default_base());
+    ASSERT_TRUE(fs2.ok());
+    int files = 0;
+    for (int i = 0; i < kDirs; ++i) {
+      files += fs2.value()->lookup("/d" + std::to_string(i) + "/f").ok();
+    }
+    EXPECT_TRUE(files == 0 || files == kDirs) << files << " files survived";
+    ASSERT_TRUE(fs2.value()->unmount().ok());
+    auto report = fsck(rig.mem.get(), FsckLevel::kStrict);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report.value().consistent()) << report.value().summary();
   }
 }
 

@@ -765,5 +765,84 @@ TEST_F(JournalMultiFixture, RefusesEmptyOversizedAndBusy) {
   EXPECT_EQ(read_block(geo.data_start), std::vector<uint8_t>(kBlockSize, 0x12));
 }
 
+TEST_F(JournalMultiFixture, PipelinedMultiChunkReplaysInOrder) {
+  // A pipelined transaction with more records than one descriptor holds,
+  // plus a revoke, and a single-chunk transaction staged right behind it:
+  // both replay in full, in sequence order.
+  Journal journal(dev.get(), geo);
+  ASSERT_TRUE(journal.open().ok());
+  const BlockNo victim = geo.data_start + 4000;
+  ASSERT_TRUE(journal.commit({record(victim, 0x66)}).ok());
+  const size_t n = Journal::max_descriptor_entries() + 12;
+  std::vector<JournalRecord> recs;
+  for (size_t i = 0; i < n; ++i) recs.push_back(record(geo.data_start + i, 0x77));
+  EXPECT_TRUE(journal.has_space(n, 1));
+  EXPECT_FALSE(journal.has_space(1, Journal::max_descriptor_entries()));
+
+  AsyncBlockDevice async(dev.get(), 2);
+  std::atomic<int> oks{0};
+  auto ok_cb = [&](Status st, uint64_t) {
+    if (st.ok()) oks.fetch_add(1);
+  };
+  auto big = journal.commit_async(recs, &async, ok_cb, nullptr, {victim});
+  auto small =
+      journal.commit_async({record(geo.data_start, 0x88)}, &async, ok_cb);
+  ASSERT_TRUE(big.ok());
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small.value(), big.value() + 1);
+  async.drain();
+  EXPECT_EQ(oks.load(), 2);
+
+  auto seqs = Journal::scan(dev.get(), geo);
+  ASSERT_TRUE(seqs.ok());
+  EXPECT_EQ(seqs.value().size(), 3u);
+  auto replayed = Journal::replay(dev.get(), geo);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed.value().applied_txns, 3u);
+  EXPECT_EQ(replayed.value().applied_blocks, n + 1);  // victim's copy revoked
+  EXPECT_EQ(read_block(victim), std::vector<uint8_t>(kBlockSize, 0));
+  EXPECT_EQ(read_block(geo.data_start), std::vector<uint8_t>(kBlockSize, 0x88))
+      << "the later transaction must win";
+  EXPECT_EQ(read_block(geo.data_start + n - 1),
+            std::vector<uint8_t>(kBlockSize, 0x77));
+}
+
+TEST_F(JournalMultiFixture, PipelinedMultiChunkCutBeforeCommitDiscardsAll) {
+  // Power cut at the commit record of a multi-chunk pipelined
+  // transaction: its payload barrier completed, so every chunk is
+  // durable, yet replay applies none of it -- its revoke included.
+  FaultBlockDevice fdev(dev.get());
+  Journal journal(&fdev, geo);
+  ASSERT_TRUE(journal.open().ok());
+  const BlockNo victim = geo.data_start + 4000;
+  ASSERT_TRUE(journal.commit({record(victim, 0x66)}).ok());
+  const size_t n = Journal::max_descriptor_entries() + 12;
+  std::vector<JournalRecord> recs;
+  for (size_t i = 0; i < n; ++i) recs.push_back(record(geo.data_start + i, 0x77));
+
+  // The commit record is the transaction's last write.
+  fdev.arm_crash_after_writes(fdev.writes_seen() +
+                              Journal::blocks_needed(n, 1) - 1);
+  AsyncBlockDevice async(&fdev, 1);
+  std::atomic<bool> failed{false};
+  auto seq = journal.commit_async(
+      recs, &async, [&](Status st, uint64_t) { failed = !st.ok(); }, nullptr,
+      {victim});
+  ASSERT_TRUE(seq.ok());
+  async.drain();
+  EXPECT_TRUE(failed.load());
+  fdev.disarm();
+  dev->crash();
+
+  auto replayed = Journal::replay(dev.get(), geo);
+  ASSERT_TRUE(replayed.ok()) << "torn tail, not corruption";
+  EXPECT_EQ(replayed.value().applied_txns, 1u);
+  EXPECT_EQ(read_block(victim), std::vector<uint8_t>(kBlockSize, 0x66));
+  for (size_t i = 0; i < n; i += 97) {
+    EXPECT_EQ(read_block(geo.data_start + i),
+              std::vector<uint8_t>(kBlockSize, 0));
+  }
+}
+
 }  // namespace
 }  // namespace raefs
