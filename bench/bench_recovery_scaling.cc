@@ -26,6 +26,7 @@
 #include "blockdev/prefetch.h"
 #include "blockdev/qdepth_probe.h"
 #include "blockdev/timed_device.h"
+#include "format/footprint.h"
 #include "format/layout.h"
 #include "fsck/fsck.h"
 #include "journal/journal.h"
@@ -164,6 +165,19 @@ double since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The shadow phase as run_shadow (rae/executor.h) drives it, minus the
+/// executor's wire round trip: the metadata read-ahead at `workers` > 1,
+/// then the serial replay over it.
+ShadowOutcome replay_shadow(BlockDevice* dev, const std::vector<OpRecord>& log,
+                            uint32_t workers) {
+  std::unique_ptr<PrefetchedDevice> ahead;
+  if (workers > 1) {
+    ahead = prefetch_metadata(dev, workers);
+    dev = ahead.get();
+  }
+  return shadow_execute(dev, log, ShadowConfig{});
+}
+
 /// Write the shadow's output blocks in place across `workers` writers.
 Status install(BlockDevice* dev, const std::vector<InstallBlock>& dirty,
                uint32_t workers) {
@@ -177,11 +191,9 @@ void BM_ShadowReplay(benchmark::State& state) {
   const auto& s = scenario();
   TimedBlockDevice timed(s.device.get(), RealLatency{});
   auto workers = static_cast<uint32_t>(state.range(0));
-  ShadowConfig config;
-  config.replay_workers = workers;
   uint64_t replayed = 0;
   for (auto _ : state) {
-    auto outcome = shadow_execute(&timed, s.log, config);
+    auto outcome = replay_shadow(&timed, s.log, workers);
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     replayed = outcome.ops_replayed;
     benchmark::DoNotOptimize(outcome.dirty);
@@ -275,8 +287,6 @@ void BM_RecoveryPipeline(benchmark::State& state) {
   const auto& master = dirty_journal_image();
   Geometry geo = bench_geometry();
   auto workers = static_cast<uint32_t>(state.range(0));
-  ShadowConfig config;
-  config.replay_workers = workers;
   FsckOptions fopts;
   fopts.workers = workers;
   for (auto _ : state) {
@@ -286,7 +296,7 @@ void BM_RecoveryPipeline(benchmark::State& state) {
     if (!Journal::replay(&timed, geo, workers).ok()) {
       state.SkipWithError("journal replay failed");
     }
-    auto outcome = shadow_execute(&timed, s.log, config);
+    auto outcome = replay_shadow(&timed, s.log, workers);
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     // Offline install of the shadow's output: each target block appears
     // exactly once in seal() output, so the writes are order-independent
@@ -393,9 +403,7 @@ void BM_RecoveryPipelineAutotuned(benchmark::State& state) {
     if (!Journal::replay(&timed, geo, workers).ok()) {
       state.SkipWithError("journal replay failed");
     }
-    ShadowConfig config;
-    config.replay_workers = workers;
-    auto outcome = shadow_execute(&timed, s.log, config);
+    auto outcome = replay_shadow(&timed, s.log, workers);
     if (!outcome.ok) state.SkipWithError(outcome.failure.c_str());
     if (!install(&timed, outcome.dirty, workers).ok()) {
       state.SkipWithError("install failed");

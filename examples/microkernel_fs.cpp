@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 
+#include "basefs/base_fs.h"
 #include "faults/bug_library.h"
 #include "ufs/ufs_supervisor.h"
 #include "vfs/vfs.h"

@@ -91,15 +91,6 @@ struct BaseFsOptions {
   uint32_t install_workers = 1;
 };
 
-struct StatResult {
-  Ino ino = kInvalidIno;
-  FileType type = FileType::kNone;
-  uint64_t size = 0;
-  uint32_t nlink = 0;
-  uint16_t mode = 0;
-  uint64_t generation = 0;
-};
-
 struct BaseFsStats {
   uint64_t ops = 0;
   uint64_t commits = 0;
@@ -119,24 +110,6 @@ struct BaseFsStats {
   /// The cache-efficiency counters as a named CounterSet for experiment
   /// reporting (CLI, benches).
   CounterSet to_counters() const;
-};
-
-/// Classification of a data-region block's role. Blocks below data_start
-/// (superblock, bitmaps, inode table, journal) are implicitly metadata;
-/// data-region blocks holding directory entries or indirect pointer arrays
-/// are journaled metadata too, while file content is not journaled
-/// (ordered-mode semantics).
-enum class BlockClass : uint8_t {
-  kFileData = 0,
-  kDirMeta = 1,
-  kIndirectMeta = 2,
-};
-
-/// Blocks handed back by the shadow during metadata download.
-struct InstallBlock {
-  BlockNo block = 0;
-  BlockClass cls = BlockClass::kFileData;
-  std::vector<uint8_t> data;
 };
 
 class BaseFs {

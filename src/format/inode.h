@@ -52,6 +52,15 @@ struct DiskInode {
   }
 };
 
+struct StatResult {
+  Ino ino = kInvalidIno;
+  FileType type = FileType::kNone;
+  uint64_t size = 0;
+  uint32_t nlink = 0;
+  uint16_t mode = 0;
+  uint64_t generation = 0;
+};
+
 /// Read inode `ino` out of an inode-table block image.
 Result<DiskInode> inode_from_table_block(std::span<const uint8_t> block,
                                          uint32_t slot, const Geometry& geo);

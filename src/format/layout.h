@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/result.h"
 #include "common/types.h"
@@ -57,6 +58,24 @@ struct Geometry {
   bool is_data_block(BlockNo b) const {
     return b >= data_start && b < total_blocks;
   }
+};
+
+/// Classification of a data-region block's role. Blocks below data_start
+/// (superblock, bitmaps, inode table, journal) are implicitly metadata;
+/// data-region blocks holding directory entries or indirect pointer arrays
+/// are journaled metadata too, while file content is not journaled
+/// (ordered-mode semantics).
+enum class BlockClass : uint8_t {
+  kFileData = 0,
+  kDirMeta = 1,
+  kIndirectMeta = 2,
+};
+
+/// Blocks handed back by the shadow during metadata download.
+struct InstallBlock {
+  BlockNo block = 0;
+  BlockClass cls = BlockClass::kFileData;
+  std::vector<uint8_t> data;
 };
 
 /// Compute the layout for a device of `total_blocks` blocks with

@@ -6,6 +6,11 @@
 #include <cerrno>
 #include <cstring>
 
+#include "blockdev/qdepth_probe.h"
+#include "format/footprint.h"
+#include "obs/flight_recorder.h"
+#include "obs/names.h"
+#include "obs/trace.h"
 #include "rae/wire.h"
 
 namespace raefs {
@@ -139,6 +144,29 @@ ShadowOutcome ForkShadowExecutor::execute(BlockDevice* dev,
 std::unique_ptr<ShadowExecutor> make_executor(bool use_fork) {
   if (use_fork) return std::make_unique<ForkShadowExecutor>();
   return std::make_unique<InProcessShadowExecutor>();
+}
+
+ShadowOutcome run_shadow(ShadowExecutor& exec, BlockDevice* dev,
+                         const std::vector<OpRecord>& log,
+                         const ShadowConfig& config, SimClockPtr clock) {
+  auto now = [&]() -> Nanos { return clock ? clock->now() : 0; };
+  obs::TraceSpan span(obs::kSpanShadowReplay, clock.get());
+  const uint32_t workers = resolve_workers(config.replay_workers, dev);
+  std::unique_ptr<PrefetchedDevice> ahead;
+  if (workers > 1) {
+    obs::TraceSpan ps(obs::kSpanShadowReplayPrefetch, clock.get(), span.id());
+    ahead = prefetch_metadata(dev, workers);
+    dev = ahead.get();
+  }
+  obs::flight().record(obs::Component::kShadow, "replay.begin", "", now(),
+                       log.size(), workers);
+  ShadowOutcome outcome = exec.execute(dev, log, config, clock);
+  obs::flight().record(obs::Component::kShadow,
+                       outcome.ok ? "replay.end" : "replay.refused",
+                       outcome.ok ? "" : std::string_view(outcome.failure),
+                       now(), outcome.ops_replayed,
+                       outcome.discrepancies.size(), outcome.dirty.size());
+  return outcome;
 }
 
 }  // namespace raefs

@@ -50,4 +50,16 @@ class ForkShadowExecutor final : public ShadowExecutor {
 
 std::unique_ptr<ShadowExecutor> make_executor(bool use_fork);
 
+/// Run the shadow through `exec` in the caller's process, as every
+/// supervisor does: opens the `shadow.replay` span, resolves
+/// `config.replay_workers` on `dev` (0 = auto) and, above 1, reads the
+/// metadata footprint ahead (format/footprint.h) under
+/// `shadow.replay.prefetch`, then records the replay.begin and
+/// replay.end/replay.refused flight events around `exec.execute` over that
+/// device. Spans and events therefore survive a forked shadow, and the
+/// shadow itself starts no thread.
+ShadowOutcome run_shadow(ShadowExecutor& exec, BlockDevice* dev,
+                         const std::vector<OpRecord>& log,
+                         const ShadowConfig& config, SimClockPtr clock);
+
 }  // namespace raefs

@@ -175,7 +175,7 @@ Result<ShadowOutcome> RaeSupervisor::scrub(bool deep) {
 
   if (!Journal::replay(snap.get(), geo).ok()) return Errno::kIo;
   ShadowOutcome outcome =
-      executor_->execute(snap.get(), log, opts_.shadow, clock_);
+      run_shadow(*executor_, snap.get(), log, opts_.shadow, clock_);
 
   if (outcome.ok && deep) {
     // Materialize the shadow's reconstruction on the scratch snapshot and
@@ -362,7 +362,7 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
         ++stats_.shadow_retries;
         ++inc.shadow_retries;
       }
-      outcome = executor_->execute(dev_, log, shadow_cfg, clock_);
+      outcome = run_shadow(*executor_, dev_, log, shadow_cfg, clock_);
       if (outcome.ok) break;
       RAEFS_LOG_WARN("rae") << "shadow attempt " << attempt + 1
                             << " refused: " << outcome.failure;

@@ -82,8 +82,9 @@ struct RaeOptions {
   /// any supervisor-driven checks). Parallelism only reads ahead; findings
   /// are byte-identical to a serial run. 1 keeps the serial path; 0 =
   /// auto (probed queue depth, as above). The shadow replay's read-ahead
-  /// fan-out is `shadow.replay_workers` (also 0 = auto); the bulk
-  /// install's worker count is `base.install_workers`.
+  /// fan-out is `shadow.replay_workers` (also 0 = auto), built in this
+  /// process by run_shadow (rae/executor.h) in either executor mode; the
+  /// bulk install's worker count is `base.install_workers`.
   uint32_t fsck_workers = 1;
 
   /// After the download phase, snapshot the device, replay the journal on

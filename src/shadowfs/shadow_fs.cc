@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/panic.h"
+#include "format/bitmap.h"
 
 namespace raefs {
 

@@ -8,10 +8,10 @@
 //     modified during this recovery;
 //   - synchronous reads directly from the device, through a read-only
 //     view -- the shadow NEVER writes to the device. Its entire output is
-//     the overlay (dirty-block set) handed back to the base. With replay
-//     read-ahead on, that device is a prefetched read-only snapshot
-//     (blockdev/prefetch.h): a copy of the device, not a cache, so every
-//     access is still decoded and validated;
+//     the overlay (dirty-block set) handed back to the base. The caller
+//     may hand it a read-ahead snapshot (rae/executor.h run_shadow): a
+//     copy of the device, not a cache, so every access is still decoded
+//     and validated;
 //   - no journal, no crash-consistency logic: completed sync operations
 //     are already on disk (they are the shadow's input) and incomplete
 //     ones are re-issued by the rebooted base after hand-off.
@@ -22,16 +22,15 @@
 // the shadow refuses to take an unchecked step (e.g. on a crafted image).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string_view>
 #include <vector>
 
-#include "basefs/base_fs.h"  // StatResult, InstallBlock, BlockClass
 #include "blockdev/block_device.h"
 #include "common/clock.h"
 #include "common/result.h"
-#include "common/stats.h"
 #include "format/dirent.h"
 #include "format/inode.h"
 #include "format/superblock.h"

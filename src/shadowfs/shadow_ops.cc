@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/panic.h"
 #include "common/path.h"
 #include "shadowfs/shadow_fs.h"
 

@@ -2,16 +2,16 @@
 
 #include <sstream>
 
-#include "blockdev/qdepth_probe.h"
 #include "common/panic.h"
-#include "format/footprint.h"
-#include "obs/flight_recorder.h"
-#include "obs/names.h"
-#include "obs/trace.h"
 #include "oplog/payload.h"
 
 namespace raefs {
 
+namespace {
+
+/// Apply one request to a ShadowFs. `forced_ino` carries the base's
+/// recorded allocation decision in constrained mode (kInvalidIno =
+/// autonomous).
 OpOutcome shadow_apply_op(ShadowFs& fs, const OpRequest& req,
                           Ino forced_ino) {
   OpOutcome out;
@@ -106,8 +106,6 @@ OpOutcome shadow_apply_op(ShadowFs& fs, const OpRequest& req,
   return out;
 }
 
-namespace {
-
 std::string describe_mismatch(const OpRecord& rec, const OpOutcome& replayed) {
   std::ostringstream os;
   os << "op " << rec.seq << " (" << rec.req.describe() << "): base {err="
@@ -138,16 +136,6 @@ ShadowOutcome shadow_execute(BlockDevice* dev,
                              const ShadowConfig& config, SimClockPtr clock) {
   ShadowOutcome outcome;
   Nanos start = clock ? clock->now() : 0;
-  obs::TraceSpan span(obs::kSpanShadowReplay, clock.get());
-  const uint32_t workers = resolve_workers(config.replay_workers, dev);
-  obs::flight().record(obs::Component::kShadow, "replay.begin", "", start,
-                       log.size(), workers);
-  std::unique_ptr<PrefetchedDevice> snapshot;
-  if (workers > 1) {
-    obs::TraceSpan ps(obs::kSpanShadowReplayPrefetch, clock.get(), span.id());
-    snapshot = prefetch_metadata(dev, workers);
-    dev = snapshot.get();
-  }
   ShadowFs fs(dev, config.checks, clock);
   try {
     fs.open();
@@ -179,7 +167,7 @@ ShadowOutcome shadow_execute(BlockDevice* dev,
           if (!config.continue_on_discrepancy) {
             outcome.failure = "fatal discrepancy: " +
                               outcome.discrepancies.back().description;
-            return outcome;
+            break;
           }
         }
       } else {
@@ -191,22 +179,18 @@ ShadowOutcome shadow_execute(BlockDevice* dev,
       }
     }
 
-    outcome.dirty = fs.seal();
-    outcome.device_reads = fs.device_reads();
-    outcome.checks = fs.checks_performed();
-    outcome.ok = true;
+    if (outcome.failure.empty()) {
+      outcome.dirty = fs.seal();
+      outcome.ok = true;
+    }
   } catch (const ShadowCheckError& e) {
-    outcome.ok = false;
     outcome.failure = e.what();
-    outcome.device_reads = fs.device_reads();
-    outcome.checks = fs.checks_performed();
   }
+  // A refusal reports what it cost too: a fork-mode parent charges its
+  // clock with sim_time_used.
+  outcome.device_reads = fs.device_reads();
+  outcome.checks = fs.checks_performed();
   outcome.sim_time_used = clock ? clock->now() - start : 0;
-  obs::flight().record(obs::Component::kShadow,
-                       outcome.ok ? "replay.end" : "replay.refused",
-                       outcome.ok ? "" : std::string_view(outcome.failure),
-                       clock ? clock->now() : 0, outcome.ops_replayed,
-                       outcome.discrepancies.size(), outcome.dirty.size());
   return outcome;
 }
 

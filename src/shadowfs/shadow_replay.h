@@ -14,11 +14,9 @@
 // The shadow never executes fsync/sync: completed syncs are already on
 // disk; an in-flight sync is re-issued by the rebooted base (§3.3).
 //
-// Replay itself is always serial. Parallelism only reads ahead: with
-// replay_workers > 1 the image's metadata footprint (format/footprint.h)
-// is fetched by that many concurrent readers into a read-only device
-// snapshot, and the unchanged serial replay runs over it, still decoding
-// and validating every block it reads.
+// Replay is serial and starts no thread: it reads whatever device it is
+// given, decoding and validating every block. The read-ahead that
+// replay_workers asks for is the caller's (rae/executor.h run_shadow).
 #pragma once
 
 #include <optional>
@@ -35,10 +33,10 @@ struct ShadowConfig {
   /// Paper: "Discrepancies in output are reported; whether or not to
   /// continue can be configured."
   bool continue_on_discrepancy = true;
-  /// Read-ahead fan-out: concurrent device reads that fetch the metadata
-  /// footprint before the serial replay runs. 1 reads the device directly
-  /// (the reference path) and 0 means auto (derive the count from the
-  /// device's probed effective queue depth, blockdev/qdepth_probe.h). Any
+  /// Read-ahead fan-out that run_shadow (rae/executor.h) reads: concurrent
+  /// device reads that fetch the metadata footprint before the serial
+  /// replay runs. 1 reads the device directly (the reference path) and 0
+  /// means auto (blockdev/qdepth_probe.h). shadow_execute ignores it; any
   /// value produces an identical outcome.
   uint32_t replay_workers = 1;
 };
@@ -73,12 +71,6 @@ struct ShadowOutcome {
   /// fork-isolated executor report time back to the parent's clock.
   Nanos sim_time_used = 0;
 };
-
-/// Apply one request to a ShadowFs. `forced_ino` carries the base's
-/// recorded allocation decision in constrained mode (kInvalidIno =
-/// autonomous). Exposed for the NVP baseline, which uses ShadowFs
-/// instances as diverse versions.
-OpOutcome shadow_apply_op(ShadowFs& fs, const OpRequest& req, Ino forced_ino);
 
 /// Run the full recovery replay over `dev` (accessed read-only).
 ShadowOutcome shadow_execute(BlockDevice* dev,

@@ -90,7 +90,7 @@ Status UfsSupervisor::run_recovery(const std::vector<OpRecord>& log,
 
   // 2. Shadow replay (in the supervisor's process), with retries.
   for (uint32_t attempt = 0; attempt <= opts_.shadow_retries; ++attempt) {
-    *outcome = shadow_execute(dev_, log, opts_.shadow, clock_);
+    *outcome = run_shadow(shadow_exec_, dev_, log, opts_.shadow, clock_);
     if (outcome->ok) break;
     RAEFS_LOG_WARN("ufs") << "shadow attempt " << attempt + 1
                           << " refused: " << outcome->failure;

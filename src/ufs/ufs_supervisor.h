@@ -21,11 +21,10 @@
 
 #include "common/stats.h"
 #include "faults/bug_registry.h"
-#include "format/layout.h"
+#include "format/inode.h"
 #include "oplog/op_log.h"
-#include "shadowfs/shadow_replay.h"
+#include "rae/executor.h"
 #include "ufs/shm_device.h"
-#include "basefs/base_fs.h"  // StatResult
 
 namespace raefs {
 
@@ -107,6 +106,7 @@ class UfsSupervisor {
   SimClockPtr clock_;
   BugRegistry* bugs_;
   Geometry geo_;
+  InProcessShadowExecutor shadow_exec_;
 
   std::mutex mu_;
   int to_child_ = -1;

@@ -315,6 +315,49 @@ TEST_F(RaeTest, ForkExecutorAlsoRecovers) {
   ASSERT_TRUE(sup->shutdown().ok());
 }
 
+TEST_F(RaeTest, ForkExecutorReplayIsTracedInSupervisorProcess) {
+  // The read-ahead, its span and the shadow's flight events belong to the
+  // supervisor's process: a forked shadow child only replays (and starts
+  // no thread), so nothing is lost with it.
+  BugRegistry bugs;
+  bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
+  RaeOptions opts;
+  opts.fork_shadow = true;
+  opts.shadow.replay_workers = 4;
+  auto sup = start(&bugs, opts);
+  std::string trigger = "/" + std::string(54, 'z');
+  ASSERT_TRUE(sup->create(trigger, 0644).ok());
+  ASSERT_TRUE(sup->create("/other", 0644).ok());
+  obs::tracer().clear();
+  obs::flight().clear();
+  obs::Tracer::set_enabled(true);
+  ASSERT_TRUE(sup->unlink(trigger).ok());
+  obs::Tracer::set_enabled(false);
+  EXPECT_EQ(sup->stats().recoveries, 1u);
+  EXPECT_EQ(sup->lookup(trigger).error(), Errno::kNoEnt);
+  EXPECT_TRUE(sup->lookup("/other").ok());
+
+  auto phase = obs::tracer().spans_named(obs::kSpanRecoveryReplay);
+  auto replay = obs::tracer().spans_named(obs::kSpanShadowReplay);
+  auto prefetch = obs::tracer().spans_named(obs::kSpanShadowReplayPrefetch);
+  ASSERT_EQ(phase.size(), 1u);
+  ASSERT_EQ(replay.size(), 1u);
+  ASSERT_EQ(prefetch.size(), 1u);
+  EXPECT_EQ(replay[0].parent, phase[0].id);
+  EXPECT_EQ(prefetch[0].parent, replay[0].id);
+
+  std::vector<obs::FlightEvent> begins, ends;
+  for (const auto& e : obs::flight().snapshot()) {
+    if (e.component != obs::Component::kShadow) continue;
+    if (std::string(e.kind) == "replay.begin") begins.push_back(e);
+    if (std::string(e.kind) == "replay.end") ends.push_back(e);
+  }
+  ASSERT_EQ(begins.size(), 1u);
+  EXPECT_EQ(begins[0].b, 4u);  // the read-ahead fan-out
+  EXPECT_EQ(ends.size(), 1u);
+  ASSERT_TRUE(sup->shutdown().ok());
+}
+
 TEST_F(RaeTest, CraftedImageTakenOfflineCleanlyInsteadOfCrashLoop) {
   // The attack scenario: a crafted image passes weak fsck, the base
   // panics on first touch, and the shadow -- whose checks are strict --

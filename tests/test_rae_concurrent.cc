@@ -239,25 +239,40 @@ TEST(RaeConcurrent, ScrubRunsAlongsideClientTraffic) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
+  // Completed client steps. scrub() holds the supervisor lock for its
+  // whole run and std::mutex is not fair, so a scrubber looping back to
+  // back can keep the clients off the lock indefinitely on a loaded host.
+  // It therefore scrubs at most once per client step: still interleaved
+  // with the traffic, and the clients always progress.
+  std::atomic<uint64_t> steps{0};
+  auto step = [&] {
+    steps.fetch_add(1);
+    steps.notify_one();
+  };
   std::thread scrubber([&] {
-    while (!stop.load()) {
+    uint64_t seen = 0;
+    do {
       auto scrubbed = sup.value()->scrub();
       if (!scrubbed.ok() || !scrubbed.value().ok ||
           !scrubbed.value().discrepancies.empty()) {
         ++failures;
       }
-    }
+      steps.wait(seen);
+      seen = steps.load();
+    } while (!stop.load());
   });
   std::vector<std::thread> clients;
   for (int tid = 0; tid < 3; ++tid) {
     clients.emplace_back([&, tid] {
       std::string prefix = "/w" + std::to_string(tid);
       if (!sup.value()->mkdir(prefix, 0755).ok()) ++failures;
+      step();
       for (int i = 0; i < 80; ++i) {
         std::string path = prefix + "/f" + std::to_string(i);
         auto ino = sup.value()->create(path, 0644);
         if (!ino.ok()) {
           ++failures;
+          step();
           continue;
         }
         if (!sup.value()
@@ -266,11 +281,13 @@ TEST(RaeConcurrent, ScrubRunsAlongsideClientTraffic) {
           ++failures;
         }
         if (i % 10 == 9 && !sup.value()->sync().ok()) ++failures;
+        step();
       }
     });
   }
   for (auto& th : clients) th.join();
   stop = true;
+  step();  // wake the scrubber so it sees `stop`
   scrubber.join();
 
   EXPECT_EQ(failures.load(), 0);

@@ -391,11 +391,14 @@ void expect_same_outcome(const ShadowOutcome& a, const ShadowOutcome& b) {
   }
 }
 
+/// The production wiring: run_shadow builds the read-ahead, an in-process
+/// executor replays over it.
 ShadowOutcome replay_with(BlockDevice* dev, const std::vector<OpRecord>& log,
                           uint32_t workers) {
   ShadowConfig config;
   config.replay_workers = workers;
-  return shadow_execute(dev, log, config);
+  InProcessShadowExecutor exec;
+  return run_shadow(exec, dev, log, config, nullptr);
 }
 
 /// Replay `log` over `image` reading the device directly and at every

@@ -204,6 +204,30 @@ TEST(ShadowReplay, FatalDiscrepancyStopsWhenConfigured) {
   EXPECT_NE(outcome.failure.find("discrepancy"), std::string::npos);
 }
 
+TEST(ShadowReplay, FatalDiscrepancyReportsItsCost) {
+  // A fatal discrepancy still accounts for the replay it ran: a fork-mode
+  // parent charges its own clock with sim_time_used.
+  auto fresh = make_test_device();
+  LogBuilder log;
+  log.push(req_create("/a"), OpOutcome{Errno::kOk, 2, 0, {}});
+  log.push(req_create("/a"), OpOutcome{Errno::kOk, 3, 0, {}});
+  log.push(req_create("/b"), OpOutcome{Errno::kOk, 4, 0, {}});
+  ShadowConfig config;
+  config.continue_on_discrepancy = false;
+  Nanos before = fresh.clock->now();
+  auto outcome =
+      shadow_execute(fresh.device.get(), log.records, config, fresh.clock);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.failure.rfind("fatal discrepancy: op 2 (", 0), 0u)
+      << outcome.failure;
+  EXPECT_EQ(outcome.ops_replayed, 2u);  // stopped at the discrepancy
+  EXPECT_TRUE(outcome.dirty.empty());
+  EXPECT_GT(outcome.sim_time_used, 0);
+  EXPECT_EQ(outcome.sim_time_used, fresh.clock->now() - before);
+  EXPECT_GT(outcome.device_reads, 0u);
+  EXPECT_GT(outcome.checks, 0u);
+}
+
 TEST(ShadowReplay, UnusableForcedInoRefused) {
   auto fresh = make_test_device();
   LogBuilder log;
