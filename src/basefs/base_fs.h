@@ -18,18 +18,17 @@
 //     operations dirtying the next epoch.
 //   - commit_mu_/commit_cv_: the group-commit engine. fsync/sync joins
 //     the open epoch and waits for *that epoch's* durability; concurrent
-//     fsyncs collapse into one pipelined journal transaction (one thread
-//     becomes the committer, the rest wait on the cv). Transactions for
-//     epoch E+1 may stage while epoch E's commit record is in flight
-//     (journal pipelining); checkpointing runs off the commit critical
-//     path, after waiters are already released.
+//     fsyncs collapse into one journal transaction (one thread becomes
+//     the committer and writes it, the rest wait on the cv), so at most
+//     one transaction is in flight. Checkpointing runs off the commit
+//     critical path, after waiters are already released.
 //   - namespace_mu_ (shared_mutex): path resolution shared, namespace
 //     mutations (create/unlink/mkdir/rmdir/rename/link/symlink) exclusive.
 //   - per-inode shared_mutex (LockTable): file data ops.
 //   - alloc_mu_: inode/block allocators.
 // Lock order: op_gate_ -> namespace_mu_ -> inode lock -> alloc_mu_.
 // commit_mu_ is never held while acquiring op_gate_ or a shard lock is
-// held; journal/async callbacks acquire commit_mu_ alone.
+// held.
 //
 // POSIX divergences (shared by base, shadow, and the test oracle):
 //   - symlinks are never followed during path walks (lookup == lstat);
@@ -49,7 +48,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "blockdev/async_device.h"
+#include "basefs/async_device.h"
 #include "blockdev/block_device.h"
 #include "cache/block_cache.h"
 #include "cache/dentry_cache.h"
@@ -254,39 +253,32 @@ class BaseFs {
                             FileType type, std::string_view symlink_target);
 
   // -- transactions (base_txn.cc) -----------------------------------------
-  /// Everything a staged epoch needs to become durable: its bounds, the
-  /// op-log watermark it covers, and the partitioned dirty delta (shared
-  /// block handles -- no copies). Defined in base_txn.cc.
-  struct CommitCtx;
-
   /// Group commit: waits until every epoch <= the currently open epoch is
   /// durable (equivalent to commit_upto(epoch_open_, force_checkpoint)).
   Status commit_txn(bool force_checkpoint);
-  /// Waits until epochs <= target_epoch are durable, becoming the
-  /// committer (staging a pipelined journal transaction for the delta) if
-  /// no staged transaction covers the target yet.
+  /// Waits until epochs <= target_epoch are durable (or one of them
+  /// failed), becoming the committer whenever no other thread is one.
   Status commit_upto(uint64_t target_epoch, bool force_checkpoint);
-  /// One committer cycle: recover a broken pipeline if needed, rotate the
-  /// open epoch under op_gate_, stage the delta into the journal pipeline
-  /// as one transaction (checkpointing first if it does not fit).
-  /// Entered and exited with `lk` (commit_mu_) held and committer_busy_
-  /// set by the caller; unlocks internally around IO. Retries internally
-  /// when the journal refuses with kBusy (a concurrent staged-transaction
-  /// failure): that is transient engine state, never a caller-visible
-  /// error.
-  Status commit_cycle_locked(std::unique_lock<std::mutex>& lk);
-  Status commit_cycle_once_(std::unique_lock<std::mutex>& lk);
-  /// A staging step for closed epoch `upto` failed with `st` (commit_mu_
-  /// held): fail the epoch, unless kBusy sends it to the retry loop.
-  Status fail_epoch_locked_(uint64_t upto, Status st);
-  /// Completion callback bound into the journal pipeline for `ctx`.
-  Journal::CommitDoneCb make_commit_done_(std::shared_ptr<CommitCtx> ctx);
+  /// One committer cycle: rotate the open epoch under op_gate_, write the
+  /// closed epoch's delta with write_delta_, and record the epoch durable
+  /// or failed. Entered and left with `lk` (commit_mu_) held and
+  /// committer_busy_ set by the caller; the IO runs with `lk` released.
+  void commit_cycle_(std::unique_lock<std::mutex>& lk);
+  /// Make one closed epoch's delta durable and return once it is or has
+  /// failed: a data-only delta is written back and flushed; metadata
+  /// commits as one journal transaction (checkpointing first if it does
+  /// not fit the free area) with the data written in place alongside it.
+  /// No write of the epoch is in flight on return. `revokes` is cleared
+  /// when a checkpoint makes them moot.
+  Status write_delta_(uint64_t upto, const std::vector<JournalRecord>& meta,
+                      std::vector<std::pair<BlockNo, BlockBufPtr>> data,
+                      std::vector<BlockNo>* revokes);
   /// Checkpoint entry point used after a commit (off the critical path):
-  /// acquires committer exclusivity, waits for the pipeline to idle.
+  /// acquires committer exclusivity.
   Status checkpoint_now_locked(std::unique_lock<std::mutex>& lk, bool force);
   /// Writes the shadow copies of journaled blocks in place and truncates
-  /// the journal. Pipeline must be idle (the async queue is drained
-  /// here); commit_mu_ must NOT be held.
+  /// the journal. The caller holds committer exclusivity, so no
+  /// transaction is in flight; commit_mu_ must NOT be held.
   Status checkpoint_core_();
   /// On an empty journal region (so no revoke is needed):
   /// Journal::commit `records`, write them in place across `workers`
@@ -318,7 +310,7 @@ class BaseFs {
   /// on-disk descriptors. Called inside the epoch rotation gate.
   std::vector<BlockNo> take_pending_revokes_();
   /// Put revokes back after a failed or revoke-less commit attempt so the
-  /// next staged transaction carries them. Blocks reallocated as metadata
+  /// next journal transaction carries them. Blocks reallocated as metadata
   /// in the meantime are dropped (their fresh copy must replay).
   void return_pending_revokes_(const std::vector<BlockNo>& revokes);
   void note_mutation();
@@ -398,21 +390,18 @@ class BaseFs {
   std::function<void(Seq)> durable_cb_;
 
   // -- group-commit engine (base_txn.cc) ---------------------------------
-  // commit_mu_ guards the epoch watermarks, the pipeline flags, and
-  // checkpoint_shadow_. epoch_open_ is additionally published through the
-  // block cache so ops tag dirty blocks lock-free. Invariants:
-  //   epoch_durable_ <= epoch_staged_ + in-flight staged transactions,
-  //   and every dirty block with epoch <= epoch_staged_ is covered by a
-  //   staged-or-durable transaction (unless pipeline_broken_, in which
-  //   case recovery re-snapshots from epoch_durable_).
+  // commit_mu_ guards the epoch watermarks, committer_busy_ and
+  // durable_class_. epoch_open_ is additionally published through the
+  // block cache so ops tag dirty blocks lock-free. Invariant while no
+  // committer is busy: a dirty block tagged <= epoch_durable_ is journaled
+  // metadata waiting for a checkpoint; every other dirty block, a failed
+  // epoch's included, is tagged above epoch_durable_.
   std::mutex commit_mu_;
   std::condition_variable commit_cv_;
-  bool committer_busy_ = false;      // one committer stages at a time
+  bool committer_busy_ = false;      // one committer (or checkpoint) at a time
   std::atomic<uint64_t> epoch_open_{1};
-  uint64_t epoch_staged_ = 0;        // highest epoch staged into the pipeline
   uint64_t epoch_durable_ = 0;       // highest epoch proven durable
   uint64_t epoch_failed_ = 0;        // highest epoch whose commit failed
-  bool pipeline_broken_ = false;     // journal pipeline needs rewind
   Status commit_error_ = Status::Ok();
   std::atomic<uint64_t> commit_waiters_{0};
   // Latest durable classification (true = file data written in place) of

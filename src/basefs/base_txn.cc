@@ -1,10 +1,10 @@
-// Transaction engine of the base filesystem: epoch-based group commit
-// over a pipelined journal. Operations tag the blocks they dirty with the
-// open epoch; fsync/sync closes the open epoch (a brief rotation under
-// op_gate_ that does no IO) and stages its dirty *delta* as one pipelined
-// journal transaction -- N concurrent fsyncs collapse into one
-// transaction, and transaction E+1 may write its descriptor/payload while
-// E's commit record is still in flight. Checkpointing runs off the commit
+// Transaction engine of the base filesystem: epoch-based group commit.
+// Operations tag the blocks they dirty with the open epoch; fsync/sync
+// closes the open epoch (a brief rotation under op_gate_ that does no IO)
+// and writes its dirty *delta* as one journal transaction. N concurrent
+// fsyncs collapse into one transaction: one of them becomes the committer
+// and writes it, the rest wait for its outcome, so at most one
+// transaction is ever in flight. Checkpointing runs off the commit
 // critical path. Validate-on-sync (the paper's detect-before-persist
 // enhancement, §3.1) runs on each epoch's delta inside the rotation, and
 // install_blocks absorbs the shadow's recovery output (§3.2).
@@ -60,23 +60,6 @@ obs::Histogram& commit_latency_hist() {
 
 }  // namespace
 
-// Everything a closed epoch needs to become durable, shared with the
-// async completion callback. Block payloads are shared handles out of the
-// cache snapshot -- nothing here copies block contents.
-struct BaseFs::CommitCtx {
-  uint64_t upto = 0;   // highest epoch this transaction covers
-  Seq op_seq = 0;      // op-log watermark captured at rotation
-  Nanos start = 0;
-  std::vector<JournalRecord> meta;
-  std::vector<BlockNo> data_blocks;
-  // Journaled-metadata blocks freed by this epoch: carried as revoke
-  // records so replay cannot resurrect their stale journaled copies
-  // (journal.h). On a failed commit they return to the pending set.
-  std::vector<BlockNo> revokes;
-  // Set by a failed in-place (ordered-mode) data write; vetoes the commit.
-  std::shared_ptr<std::atomic<bool>> data_abort;
-};
-
 Status BaseFs::commit_txn(bool force_checkpoint) {
   return commit_upto(epoch_open_.load(std::memory_order_acquire),
                      force_checkpoint);
@@ -96,12 +79,10 @@ Status BaseFs::commit_upto(uint64_t target_epoch, bool force_checkpoint) {
         st = commit_error_.ok() ? Status(Errno::kIo) : commit_error_;
         break;
       }
-      if (!committer_busy_ &&
-          (pipeline_broken_ || epoch_staged_ < target_epoch)) {
+      if (!committer_busy_) {
         committer_busy_ = true;
-        Status cst;
         try {
-          cst = commit_cycle_locked(lk);
+          commit_cycle_(lk);
         } catch (...) {
           // validate-on-sync panics unwind to the RAE supervisor; leave
           // the engine usable for the waiters we strand.
@@ -112,16 +93,16 @@ Status BaseFs::commit_upto(uint64_t target_epoch, bool force_checkpoint) {
           commit_waiters_.fetch_sub(1, std::memory_order_relaxed);
           throw;
         }
+        // The cycle has returned, so its payload handles are gone before
+        // any waiter wakes: a handle still held would force a copy-on-write
+        // clone of the block a woken caller overwrites next.
         committer_busy_ = false;
         commit_cv_.notify_all();
-        if (!cst.ok()) {
-          st = cst;
-          break;
-        }
-        continue;  // staged: durability arrives via the done callback
+        continue;  // the cycle recorded its epoch durable or failed
       }
-      // Group commit: a transaction covering this epoch is staged (or
-      // another thread is staging one) -- wait for it to turn durable.
+      // Group commit: another thread is writing a transaction (or
+      // checkpointing) -- wait for it; then either its epoch covered this
+      // one or this thread commits next.
       const Nanos wait_from = mono_now(clock_.get());
       {
         obs::TraceSpan wait(obs::kSpanBaseCommitWait, clock_.get(), span.id());
@@ -134,7 +115,7 @@ Status BaseFs::commit_upto(uint64_t target_epoch, bool force_checkpoint) {
   if (!st.ok()) return st;
 
   // Checkpoint off the commit critical path: every waiter on this epoch
-  // was already released by the done callback; only this caller pays.
+  // was already released; only this caller pays.
   if (force_checkpoint || journal_.fill_ratio() > kCheckpointFillThreshold) {
     std::unique_lock<std::mutex> lk(commit_mu_);
     return checkpoint_now_locked(lk, force_checkpoint);
@@ -142,52 +123,19 @@ Status BaseFs::commit_upto(uint64_t target_epoch, bool force_checkpoint) {
   return Status::Ok();
 }
 
-Status BaseFs::commit_cycle_locked(std::unique_lock<std::mutex>& lk) {
-  for (int attempt = 0;; ++attempt) {
-    Status st = commit_cycle_once_(lk);
-    if (st.ok() || st.error() != Errno::kBusy || attempt >= 2) return st;
-    // The journal refused with kBusy: an already-staged transaction failed
-    // while this cycle was staging (the failure callback may not even have
-    // run yet). This is transient engine state, not a device error -- it
-    // must never surface to an fsync caller. Mark the pipeline broken and
-    // go around: the recovery at the top of the next attempt drains the
-    // queue, rewinds the journal, and re-stages everything still dirty.
-    pipeline_broken_ = true;
-  }
-}
-
-Status BaseFs::commit_cycle_once_(std::unique_lock<std::mutex>& lk) {
-  uint64_t base = epoch_staged_;
-  // journal_.pipeline_failed() is checked alongside our own flag because
-  // it turns true under the journal's lock at the instant of failure,
-  // while pipeline_broken_ only follows once the failure callback has
-  // taken commit_mu_ -- without the early check this cycle would stage a
-  // transaction into a doomed pipeline and share its abort.
-  if (pipeline_broken_ || journal_.pipeline_failed()) {
-    // Pipeline recovery: let the async queue settle (this also runs every
-    // pending failure callback), rewind the journal to just past the last
-    // durable transaction (failed transactions never wrote commit records,
-    // so their remains are legal torn tail), and re-stage from scratch.
-    lk.unlock();
-    async_.drain();
-    journal_.rewind_pipeline();
-    lk.lock();
-    epoch_staged_ = epoch_durable_;
-    pipeline_broken_ = false;
-    commit_error_ = Status::Ok();
-    // Re-cover every dirty block regardless of its epoch tag: failed
-    // epochs' blocks keep their old tags, and a privately-failed barrier
-    // epoch (data_abort with no journal transaction to veto) may sit below
-    // an epoch that still turned durable, so an epoch-bounded delta could
-    // miss still-dirty blocks.
-    base = 0;
-  }
+void BaseFs::commit_cycle_(std::unique_lock<std::mutex>& lk) {
+  // By the delta invariant (base_fs.h, at epoch_durable_), the dirty
+  // blocks tagged in (epoch_durable_, upto] are exactly what this cycle
+  // owes the device, a failed epoch's included.
+  const uint64_t base = epoch_durable_;
   lk.unlock();
 
-  auto ctx = std::make_shared<CommitCtx>();
-  ctx->start = mono_now(clock_.get());
+  const Nanos start = mono_now(clock_.get());
+  uint64_t upto = 0;
+  Seq op_seq = 0;
   std::vector<std::pair<BlockNo, BlockBufPtr>> dirty;
-  Status stage_st = Status::Ok();
+  std::vector<BlockNo> revokes;
+  Status st = Status::Ok();
   {
     // Epoch rotation: the only moment ops are excluded, and it does no
     // device IO. Capture inode-cache dirt into the block cache, close the
@@ -196,16 +144,16 @@ Status BaseFs::commit_cycle_once_(std::unique_lock<std::mutex>& lk) {
     obs::TraceSpan lock_wait(obs::kSpanBaseLockWait, clock_.get());
     std::unique_lock<std::shared_mutex> gate(op_gate_);
     lock_wait.end();
-    ctx->op_seq = max_dirty_seq_.load();
-    stage_st = flush_inode_cache_locked();
-    ctx->upto = epoch_open_.load(std::memory_order_relaxed);
-    epoch_open_.store(ctx->upto + 1, std::memory_order_release);
-    block_cache_.set_open_epoch(ctx->upto + 1);
-    if (stage_st.ok()) {
-      dirty = block_cache_.dirty_snapshot_range(base, ctx->upto);
+    op_seq = max_dirty_seq_.load();
+    st = flush_inode_cache_locked();
+    upto = epoch_open_.load(std::memory_order_relaxed);
+    epoch_open_.store(upto + 1, std::memory_order_release);
+    block_cache_.set_open_epoch(upto + 1);
+    if (st.ok()) {
+      dirty = block_cache_.dirty_snapshot_range(base, upto);
       // Frees performed by epochs <= upto are all visible here (ops hold
       // the gate shared), so the revoke set is exactly this delta's.
-      ctx->revokes = take_pending_revokes_();
+      revokes = take_pending_revokes_();
       if (opts_.validate_on_sync && !dirty.empty()) {
         Status valid = validate_dirty_locked(dirty);
         // Detection before persistence: a corrupt delta must never reach
@@ -215,205 +163,127 @@ Status BaseFs::commit_cycle_once_(std::unique_lock<std::mutex>& lk) {
       }
     }
   }
-  if (!stage_st.ok()) {
-    lk.lock();
-    // The rotation already happened: epoch `upto` is closed but unstaged.
-    // epoch_staged_ stays at `base` so the next committer's delta
-    // re-covers it; mark it failed so current waiters see the error.
-    epoch_failed_ = std::max(epoch_failed_, ctx->upto);
-    commit_error_ = stage_st;
-    return stage_st;
-  }
 
-  if (dirty.empty()) {
-    // No journal transaction will be staged; the revokes wait for the
-    // next one. (A free always dirties the block bitmap, so this arises
-    // only on retry after a failure that committed the bitmap first.)
-    return_pending_revokes_(ctx->revokes);
-    ctx->revokes.clear();
-    lk.lock();
-    epoch_staged_ = std::max(epoch_staged_, ctx->upto);
-    if (journal_.staged_txns() == 0) {
-      // Nothing dirty and the pipeline is idle: trivially durable.
-      epoch_durable_ = std::max(epoch_durable_, ctx->upto);
-      if (durable_cb_ && ctx->op_seq > 0) durable_cb_(ctx->op_seq);
-      return Status::Ok();
-    }
-    // Earlier transactions still in flight: ride a barrier through the
-    // pipeline so this epoch turns durable strictly after them.
-    lk.unlock();
-    Status fst = journal_.flush_async(&async_, make_commit_done_(ctx));
-    lk.lock();
-    if (!fst.ok()) return fail_epoch_locked_(ctx->upto, fst);
-    return Status::Ok();
-  }
-
-  obs::TraceSpan jspan(obs::kSpanJournalGroupCommit, clock_.get());
   // Partition the delta. Snapshot entries are shared handles out of the
   // cache -- nothing here copies a block payload.
+  std::vector<JournalRecord> meta;
+  std::vector<BlockNo> data_blocks;
   std::vector<std::pair<BlockNo, BlockBufPtr>> data;
   for (auto& [block, bytes] : dirty) {
     if (is_meta_block(block)) {
-      ctx->meta.emplace_back(block, std::move(bytes));
+      meta.emplace_back(block, std::move(bytes));
     } else {
-      ctx->data_blocks.push_back(block);
+      data_blocks.push_back(block);
       data.emplace_back(block, std::move(bytes));
     }
   }
-  // A revoke must not suppress a copy re-journaled by this very
-  // transaction (same seq): the fresh copy is the block's newest durable
-  // content. jbd2 calls this revoke cancellation.
-  if (!ctx->revokes.empty() && !ctx->meta.empty()) {
+  if (meta.empty()) {
+    // No journal transaction: the revokes wait for the next one (any
+    // reallocation of a revoked block dirties the bitmap, so that
+    // transaction commits no later than the first epoch that could make
+    // the hazard durable).
+    return_pending_revokes_(revokes);
+    revokes.clear();
+  } else if (!revokes.empty()) {
+    // A revoke must not suppress a copy re-journaled by this very
+    // transaction (same seq): the fresh copy is the block's newest
+    // durable content. jbd2 calls this revoke cancellation.
     std::unordered_set<BlockNo> journaled;
-    journaled.reserve(ctx->meta.size());
-    for (const auto& r : ctx->meta) journaled.insert(r.target);
-    std::erase_if(ctx->revokes,
-                  [&](BlockNo b) { return journaled.count(b) > 0; });
+    journaled.reserve(meta.size());
+    for (const auto& r : meta) journaled.insert(r.target);
+    std::erase_if(revokes, [&](BlockNo b) { return journaled.count(b) > 0; });
   }
-  // How many fsyncs this transaction collapses (the committer included).
-  group_ops_hist().record(
-      static_cast<Nanos>(commit_waiters_.load(std::memory_order_relaxed)));
+  // An empty delta is durable at once: no transaction is in flight.
+  if (st.ok() && !dirty.empty()) {
+    obs::TraceSpan jspan(obs::kSpanJournalGroupCommit, clock_.get());
+    // How many fsyncs this transaction collapses (the committer included).
+    group_ops_hist().record(
+        static_cast<Nanos>(commit_waiters_.load(std::memory_order_relaxed)));
+    st = write_delta_(upto, meta, std::move(data), &revokes);
+  }
+  if (st.ok() && !dirty.empty()) {
+    obs::flight().record(obs::Component::kBaseFs, "commit", "",
+                         clock_ ? clock_->now() : 0, dirty.size());
+  }
 
+  lk.lock();
+  if (!st.ok()) {
+    // The epoch's blocks stay dirty above epoch_durable_, so the next
+    // cycle's delta covers them again; its transaction must carry the
+    // revokes again too.
+    epoch_failed_ = std::max(epoch_failed_, upto);
+    commit_error_ = st;
+    return_pending_revokes_(revokes);
+    return;
+  }
+  // Record each block's durable classification in commit order; the
+  // checkpointer skips journaled copies superseded by a later in-place
+  // data write (freed-then-reallocated blocks).
+  for (const auto& r : meta) durable_class_[r.target] = false;
+  if (!data_blocks.empty()) {
+    block_cache_.mark_clean_upto(data_blocks, upto);
+    for (BlockNo b : data_blocks) durable_class_[b] = true;
+  }
+  epoch_durable_ = upto;
+  if (!dirty.empty()) {
+    commits_.fetch_add(1);
+    commit_latency_hist().record(mono_now(clock_.get()) - start);
+  }
+  if (durable_cb_ && op_seq > 0) durable_cb_(op_seq);
+}
+
+Status BaseFs::write_delta_(uint64_t upto,
+                            const std::vector<JournalRecord>& meta,
+                            std::vector<std::pair<BlockNo, BlockBufPtr>> data,
+                            std::vector<BlockNo>* revokes) {
+  if (meta.empty()) {
+    // Data-only epoch: write it back; one flush makes it durable.
+    RAEFS_TRY_VOID(writeback_coalesced(data));
+    return dev_->flush();
+  }
   // The epoch commits as one transaction. If it does not fit the free
-  // area, the pipeline drains and a checkpoint runs BEFORE the epoch's
-  // data writes: run after them, it could write a stale journaled copy of
-  // a block this epoch freed and reused as file data over that data.
-  if (!ctx->meta.empty() &&
-      !journal_.has_space(ctx->meta.size(), ctx->revokes.size())) {
-    lk.lock();
-    while (epoch_durable_ < epoch_staged_ && !pipeline_broken_) {
-      commit_cv_.wait(lk);
-    }
-    Status cst = pipeline_broken_ ? Status(Errno::kBusy) : Status::Ok();
-    if (cst.ok()) {
-      lk.unlock();
-      cst = checkpoint_core_();
-      lk.lock();
-    }
-    if (!cst.ok()) {
-      return_pending_revokes_(ctx->revokes);
-      return fail_epoch_locked_(ctx->upto, cst);
-    }
-    lk.unlock();
+  // area, a checkpoint runs BEFORE the epoch's data writes: run after
+  // them, it could write a stale journaled copy of a block this epoch
+  // freed and reused as file data over that data.
+  if (!journal_.has_space(meta.size(), revokes->size())) {
+    RAEFS_TRY_VOID(checkpoint_core_());
     // The checkpoint retired every journaled copy the revokes could
     // suppress, so they are moot, even a list too long for a descriptor.
-    ctx->revokes.clear();
+    revokes->clear();
   }
 
-  // Ordered mode, pipelined: submit the in-place data writes now. The
-  // journal payload flush barrier queued behind them proves them durable
-  // before this epoch's commit record can reach the device; a data write
-  // error vetoes the commit through data_abort.
-  if (!data.empty()) {
-    ctx->data_abort = std::make_shared<std::atomic<bool>>(false);
-    auto flag = ctx->data_abort;
-    submit_writeback_runs(std::move(data), [flag](Status wst) {
-      if (!wst.ok()) flag->store(true, std::memory_order_release);
-    });
-  }
-
-  if (ctx->meta.empty()) {
-    // Data-only epoch: a durability barrier is all the journal owes us.
-    // Revokes wait for the next metadata transaction (any reallocation of
-    // a revoked block dirties the bitmap, so that transaction commits no
-    // later than the first epoch that could make the hazard durable).
-    return_pending_revokes_(ctx->revokes);
-    ctx->revokes.clear();
-    Status fst = journal_.flush_async(&async_, make_commit_done_(ctx));
-    lk.lock();
-    if (!fst.ok()) return fail_epoch_locked_(ctx->upto, fst);
-    epoch_staged_ = std::max(epoch_staged_, ctx->upto);
-    return Status::Ok();
-  }
-
-  if (!journal_.has_space(ctx->meta.size())) {
+  // Ordered mode: the data writes go out now and overlap the journal
+  // payload; the commit drains them before its payload flush, and a failed
+  // data write withholds the commit record.
+  auto data_failed = std::make_shared<std::atomic<bool>>(false);
+  submit_writeback_runs(std::move(data), [data_failed](Status wst) {
+    if (!wst.ok()) data_failed->store(true, std::memory_order_relaxed);
+  });
+  const auto drain_data = [&]() -> Status {
+    async_.drain();
+    return data_failed->load() ? Status(Errno::kIo) : Status::Ok();
+  };
+  Status st = Status::Ok();
+  if (journal_.has_space(meta.size())) {
+    auto seq = journal_.commit(meta, *revokes, 1, drain_data);
+    if (!seq.ok()) st = seq.error();
+  } else {
     // Larger than the whole region, which the checkpoint above emptied:
     // the one case that still splits. The data writes land first, and
     // metadata never commits over lost data.
-    async_.drain();
-    Status st = ctx->data_abort &&
-                        ctx->data_abort->load(std::memory_order_acquire)
-                    ? Status(Errno::kIo)
-                    : journal_and_apply_(ctx->meta, 1);
+    st = drain_data();
+    if (st.ok()) st = journal_and_apply_(meta, 1);
     if (st.ok()) {  // every piece is home: nothing left to write back
       std::vector<BlockNo> keys;
-      for (const auto& r : ctx->meta) keys.push_back(r.target);
+      for (const auto& r : meta) keys.push_back(r.target);
       std::lock_guard<std::mutex> g(commit_mu_);
-      block_cache_.mark_clean_upto(keys, ctx->upto);
+      block_cache_.mark_clean_upto(keys, upto);
     }
-    make_commit_done_(ctx)(st, 0);
-    lk.lock();
-    epoch_staged_ = std::max(epoch_staged_, ctx->upto);
-    return Status::Ok();
   }
-
-  auto seq = journal_.commit_async(ctx->meta, &async_, make_commit_done_(ctx),
-                                   ctx->data_abort, ctx->revokes);
-  lk.lock();
-  if (!seq.ok()) {
-    return_pending_revokes_(ctx->revokes);
-    return fail_epoch_locked_(ctx->upto, seq.error());
-  }
-  epoch_staged_ = std::max(epoch_staged_, ctx->upto);
-  return Status::Ok();
-}
-
-Status BaseFs::fail_epoch_locked_(uint64_t upto, Status st) {
-  // kBusy propagates to commit_cycle_locked's retry loop; the rotation
-  // already closed epoch `upto`, and the recovery resnap (base 0) on the
-  // next attempt re-covers its blocks. Anything else fails the epoch.
-  if (st.error() == Errno::kBusy) return st;
-  epoch_failed_ = std::max(epoch_failed_, upto);
-  commit_error_ = st;
+  // A commit that failed before its hook ran left data writes in flight;
+  // none may outlive the cycle.
+  async_.drain();
   return st;
-}
-
-Journal::CommitDoneCb BaseFs::make_commit_done_(std::shared_ptr<CommitCtx> ctx) {
-  return [this, ctx = std::move(ctx)](Status st, uint64_t) {
-    if (st.ok() && ctx->data_abort &&
-        ctx->data_abort->load(std::memory_order_acquire)) {
-      // Barrier epochs carry no journal transaction to veto; a failed
-      // in-place data write must still fail the epoch (and break the
-      // pipeline so recovery re-stages the still-dirty blocks).
-      st = Errno::kIo;
-    }
-    {
-      std::lock_guard<std::mutex> g(commit_mu_);
-      if (st.ok()) {
-        // Record each block's durable classification in commit order; the
-        // checkpointer skips journaled copies superseded by a later
-        // in-place data write (freed-then-reallocated blocks).
-        for (const auto& r : ctx->meta) durable_class_[r.target] = false;
-        if (!ctx->data_blocks.empty()) {
-          block_cache_.mark_clean_upto(ctx->data_blocks, ctx->upto);
-          for (BlockNo b : ctx->data_blocks) durable_class_[b] = true;
-        }
-        epoch_durable_ = std::max(epoch_durable_, ctx->upto);
-        if (!ctx->meta.empty() || !ctx->data_blocks.empty()) {
-          commits_.fetch_add(1);
-          commit_latency_hist().record(mono_now(clock_.get()) - ctx->start);
-        }
-        if (durable_cb_ && ctx->op_seq > 0) durable_cb_(ctx->op_seq);
-        // Drop the payload handles before the waiters wake: a handle
-        // still held here would force a copy-on-write clone of the block
-        // the woken fsync caller overwrites next.
-        for (auto& r : ctx->meta) r.data.reset();
-      } else {
-        pipeline_broken_ = true;
-        epoch_failed_ = std::max(epoch_failed_, ctx->upto);
-        commit_error_ = st;
-        // The staged transaction never committed, so neither did its
-        // revokes; the retry's transaction must carry them again.
-        return_pending_revokes_(ctx->revokes);
-      }
-    }
-    commit_cv_.notify_all();
-    if (st.ok() && (!ctx->meta.empty() || !ctx->data_blocks.empty())) {
-      obs::flight().record(obs::Component::kBaseFs, "commit", "",
-                           clock_ ? clock_->now() : 0,
-                           ctx->meta.size() + ctx->data_blocks.size());
-    }
-  };
 }
 
 Status BaseFs::checkpoint_now_locked(std::unique_lock<std::mutex>& lk,
@@ -422,22 +292,18 @@ Status BaseFs::checkpoint_now_locked(std::unique_lock<std::mutex>& lk,
   if (!force && journal_.fill_ratio() <= kCheckpointFillThreshold) {
     return Status::Ok();  // raced: another caller already checkpointed
   }
+  if (epoch_failed_ > epoch_durable_) {
+    // An epoch failed after this caller's target turned durable, and no
+    // commit has covered it since. Optional checkpoints skip quietly;
+    // forced ones (unmount) must report the failure so a dirty journal
+    // never meets a clean superblock.
+    if (!force) return Status::Ok();
+    return commit_error_.ok() ? Status(Errno::kIo) : commit_error_;
+  }
   committer_busy_ = true;
-  while (epoch_durable_ < epoch_staged_ && !pipeline_broken_) {
-    commit_cv_.wait(lk);
-  }
-  Status st = Status::Ok();
-  if (pipeline_broken_) {
-    // A later epoch failed after this caller's target turned durable.
-    // Optional checkpoints skip quietly; forced ones (unmount) must
-    // report the failure so a dirty journal never meets a clean
-    // superblock.
-    if (force) st = commit_error_.ok() ? Status(Errno::kIo) : commit_error_;
-  } else {
-    lk.unlock();
-    st = checkpoint_core_();
-    lk.lock();
-  }
+  lk.unlock();
+  Status st = checkpoint_core_();
+  lk.lock();
   committer_busy_ = false;
   lk.unlock();
   commit_cv_.notify_all();
@@ -647,9 +513,9 @@ Status BaseFs::install_blocks(const std::vector<InstallBlock>& blocks) {
     }
   }
 
-  // Quiesce: drain the pipeline and checkpoint whatever the journal
-  // already holds, so the install starts on an empty region and its
-  // checkpoint cannot raise the floor over some other transaction's
+  // Quiesce: commit, and checkpoint whatever the journal already holds,
+  // so the install starts on an empty region and its checkpoint cannot
+  // raise the floor over some other transaction's
   // committed-but-not-yet-in-place state. An empty region also leaves no
   // journaled copy for a pending revoke to suppress, so none rides the
   // install.

@@ -92,8 +92,9 @@ class BlockCache {
 
   /// Handles to dirty blocks whose epoch tag is in (after, upto], ordered
   /// by block number. The group-commit delta: blocks already journaled by
-  /// a staged transaction (tag <= after) and blocks dirtied under a newer
-  /// open epoch (tag > upto) are both excluded. No payload copies.
+  /// a durable transaction and waiting for a checkpoint (tag <= after) and
+  /// blocks dirtied under a newer open epoch (tag > upto) are both
+  /// excluded. No payload copies.
   std::vector<std::pair<BlockNo, BlockBufPtr>> dirty_snapshot_range(
       uint64_t after, uint64_t upto) const;
 

@@ -191,9 +191,9 @@ struct ConcurrentOptions {
 
 /// Crash + single-shot write-EIO sweep over the concurrent append
 /// workload. This is what holds the group-commit engine to the serial
-/// explorer's standard: N threads in flight, pipelined epochs, and a crash
-/// at every write index must never lose an acked byte or corrupt the
-/// image. Read injection is not swept: the workload is write-dominated and
+/// explorer's standard: N threads in flight, epochs collapsing their
+/// fsyncs into one transaction, and a crash at every write index must
+/// never lose an acked byte or corrupt the image. Read injection is not swept: the workload is write-dominated and
 /// read order is schedule-dependent, so a read index does not name a
 /// meaningful site.
 Result<Report> explore_concurrent(const ConcurrentOptions& opts);

@@ -169,18 +169,6 @@ uint32_t payload_crc(const std::vector<JournalRecord>& records,
   return crc;
 }
 
-/// What both commit paths refuse: an empty set, a payload that is not one
-/// block, or a revoke list that leaves the first descriptor no tag.
-Status check_txn(const std::vector<JournalRecord>& records,
-                 const std::vector<BlockNo>& revoked) {
-  if (records.empty()) return Errno::kInval;
-  if (revoked.size() >= Journal::max_descriptor_entries()) return Errno::kInval;
-  for (const auto& r : records) {
-    if (!r.data || r.data->size() != kBlockSize) return Errno::kInval;
-  }
-  return Status::Ok();
-}
-
 /// The transaction's blocks in journal order, commit record excluded:
 /// descriptor chunks that repeat `seq`, each followed by its payloads.
 /// The revoke list rides in the first chunk only, so that chunk holds
@@ -242,17 +230,16 @@ bool is_revoked(const std::unordered_map<BlockNo, uint64_t>& floor,
 
 /// After the forward scan stops at `from`, decide whether the unread tail
 /// is consistent with torn uncommitted transactions (the normal crash
-/// shape) or proves that committed history was destroyed. The pipeline
-/// sequences commit records strictly: transaction N+1's commit record is
-/// submitted only after N's commit record is durable, and a failed
-/// transaction rewinds the cursor so retries reuse its sequence numbers
-/// and journal blocks. A CRC-valid *commit* record with seq >= expect_seq
-/// therefore proves a transaction beyond the stop point once committed --
-/// its predecessors' records were destroyed -- and the journal is refused.
+/// shape) or proves that committed history was destroyed. The journal
+/// writes one transaction at a time: transaction N+1 starts only after
+/// N's commit record is durable, and a failed transaction leaves the
+/// cursor where it was, so a retry reuses its sequence number and journal
+/// blocks. A CRC-valid *commit* record with seq >= expect_seq therefore
+/// proves a transaction beyond the stop point once committed -- its
+/// predecessors' records were destroyed -- and the journal is refused.
 /// Descriptors with seq >= expect_seq, by contrast, are the legal remains
-/// of pipelined transactions whose payload raced ahead of an earlier
-/// commit record the crash cut off; they are ignored, exactly like a torn
-/// final transaction under the serial commit path.
+/// of a transaction the crash cut off before its commit record; they are
+/// ignored, like any torn final transaction.
 Status audit_tail(BlockDevice* dev, const Geometry& geo, BlockNo from,
                   uint64_t expect_seq) {
   std::vector<uint8_t> buf(kBlockSize);
@@ -317,7 +304,7 @@ Result<std::vector<ScannedTxn>> scan_committed(BlockDevice* dev,
     BlockNo chunk_pos = pos;
     while (true) {
       if (chunk_pos + 1 + d.targets.size() + 1 > end) {
-        // The commit paths never write a transaction that overflows the
+        // commit() never writes a transaction that overflows the
         // region; a CRC-valid in-sequence descriptor claiming one is
         // corruption.
         return Errno::kCorrupt;
@@ -392,10 +379,6 @@ Status Journal::open() {
   std::lock_guard<std::mutex> lk(mu_);
   next_seq_ = hdr.floor_seq + 1;
   cursor_ = geo_.journal_start + 1;
-  durable_seq_ = hdr.floor_seq;
-  durable_cursor_ = cursor_;
-  pipeline_failed_ = false;
-  staged_.clear();
   return Status::Ok();
 }
 
@@ -420,240 +403,75 @@ uint64_t Journal::blocks_needed(size_t nrecords, size_t nrevoked) {
 
 Result<uint64_t> Journal::commit(const std::vector<JournalRecord>& records,
                                  const std::vector<BlockNo>& revoked,
-                                 uint32_t workers) {
-  RAEFS_TRY_VOID(check_txn(records, revoked));
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!staged_.empty() || pipeline_failed_) return Errno::kBusy;
-  const uint64_t blocks = blocks_needed(records.size(), revoked.size());
-  if (cursor_ + blocks > geo_.journal_start + geo_.journal_blocks) {
-    return Errno::kNoSpace;
+                                 uint32_t workers,
+                                 const std::function<Status()>& before_barrier) {
+  // Refused: an empty set, a payload that is not one block, or a revoke
+  // list that leaves the first descriptor no tag.
+  if (records.empty()) return Errno::kInval;
+  if (revoked.size() >= max_descriptor_entries()) return Errno::kInval;
+  for (const auto& r : records) {
+    if (!r.data || r.data->size() != kBlockSize) return Errno::kInval;
   }
-  const uint64_t seq = next_seq_;
+  obs::TraceSpan span(obs::kSpanJournalCommit, nullptr);
+  const uint64_t blocks = blocks_needed(records.size(), revoked.size());
+  BlockNo pos = 0;
+  uint64_t seq = 0;
+  {
+    // The owner serializes commits, so the position read here is still
+    // ours when it is published below; the lock only keeps fill_ratio()
+    // and has_space() readers consistent.
+    std::lock_guard<std::mutex> lk(mu_);
+    if (cursor_ + blocks > geo_.journal_start + geo_.journal_blocks) {
+      return Errno::kNoSpace;
+    }
+    pos = cursor_;
+    seq = next_seq_;
+  }
+
+  // The commit record is sealed before any write, so its payload CRC --
+  // CPU over every record -- overlaps IO the caller already has in flight
+  // (the group commit's data writes) rather than following the barrier.
+  Commit c;
+  c.seq = seq;
+  c.ntags = static_cast<uint32_t>(records.size());
+  c.payload_crc = payload_crc(records, revoked);
+  const std::vector<uint8_t> commit_block = encode_commit(c);
 
   // Every block of the layout has a fixed position, so the pre-barrier
   // writes are order-free.
   const std::vector<BlockBufPtr> laid = lay_out(seq, records, revoked);
   std::vector<BlockWrite> writes;
   writes.reserve(laid.size());
-  BlockNo pos = cursor_;
   for (const auto& block : laid) writes.push_back({pos++, *block});
   RAEFS_TRY_VOID(write_blocks(dev_, writes, workers));
+  if (before_barrier) RAEFS_TRY_VOID(before_barrier());
   // Barrier: every chunk durable before the one commit record exists, so
   // a power cut leaves either no commit record (the whole set is a torn
   // tail) or a commit record proving the whole set durable.
   RAEFS_TRY_VOID(dev_->flush());
-
-  Commit c;
-  c.seq = seq;
-  c.ntags = static_cast<uint32_t>(records.size());
-  c.payload_crc = payload_crc(records, revoked);
-  RAEFS_TRY_VOID(dev_->write_block(pos, encode_commit(c)));
+  RAEFS_TRY_VOID(dev_->write_block(pos, commit_block));
   RAEFS_TRY_VOID(dev_->flush());
 
-  cursor_ = pos + 1;
-  next_seq_ = seq + 1;
-  durable_seq_ = seq;
-  durable_cursor_ = cursor_;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    cursor_ = pos + 1;
+    next_seq_ = seq + 1;
+  }
   commit_counter().inc();
   blocks_written_counter().inc(blocks);
   return seq;
-}
-
-Result<uint64_t> Journal::commit_async(
-    const std::vector<JournalRecord>& records, AsyncBlockDevice* async,
-    CommitDoneCb done,
-    std::shared_ptr<const std::atomic<bool>> external_abort,
-    const std::vector<BlockNo>& revoked) {
-  RAEFS_TRY_VOID(check_txn(records, revoked));
-  auto txn = std::make_shared<Staged>();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (pipeline_failed_) return Errno::kBusy;
-    const uint64_t blocks = blocks_needed(records.size(), revoked.size());
-    if (cursor_ + blocks > geo_.journal_start + geo_.journal_blocks) {
-      return Errno::kNoSpace;
-    }
-    txn->seq = next_seq_++;
-    txn->start = cursor_;
-    txn->nblocks = blocks;
-    txn->ntags = static_cast<uint32_t>(records.size());
-    txn->crc = payload_crc(records, revoked);
-    txn->external_abort = std::move(external_abort);
-    txn->done = std::move(done);
-    cursor_ += txn->nblocks;
-    staged_.push_back(txn);
-    async_ = async;
-  }
-  // Every chunk goes out as one coalesced extent write; callers serialize
-  // commit_async calls (single committer), so staging order is submission
-  // order. The flush barrier behind them proves the payload durable
-  // before the commit record may exist (write-ahead rule).
-  StagedPtr t = txn;
-  async->submit_writev(txn->start, lay_out(txn->seq, records, revoked),
-                       [this, t](Status st) {
-                         if (!st.ok()) note_write_error_(t, st);
-                       });
-  async->submit_flush([this, t](Status st) { on_payload_barrier_(t, st); });
-  return txn->seq;
-}
-
-Status Journal::flush_async(AsyncBlockDevice* async, CommitDoneCb done) {
-  auto txn = std::make_shared<Staged>();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (pipeline_failed_) return Errno::kBusy;
-    txn->done = std::move(done);  // nblocks == 0: barrier-only
-    staged_.push_back(txn);
-    async_ = async;
-  }
-  StagedPtr t = txn;
-  async->submit_flush([this, t](Status st) { on_payload_barrier_(t, st); });
-  return Status::Ok();
-}
-
-void Journal::note_write_error_(const StagedPtr& txn, Status st) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!txn->failed) {
-    txn->failed = true;
-    txn->error = st;
-  }
-}
-
-void Journal::on_payload_barrier_(const StagedPtr& txn, Status st) {
-  std::vector<std::pair<StagedPtr, Status>> finished;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!st.ok() && !txn->failed) {
-      txn->failed = true;
-      txn->error = st;
-    }
-    txn->payload_done = true;
-    advance_head_locked_(&finished);
-  }
-  for (auto& [t, s] : finished) finish_(t, s);
-}
-
-void Journal::on_commit_flushed_(const StagedPtr& txn, Status st) {
-  std::vector<std::pair<StagedPtr, Status>> finished;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!st.ok() && !txn->failed) {
-      txn->failed = true;
-      txn->error = st;
-    }
-    if (!txn->failed) {
-      // Commit record durable: retire the head (strict sequencing means
-      // txn *is* the head) and let the next commit record go out.
-      durable_seq_ = txn->seq;
-      durable_cursor_ = txn->start + txn->nblocks;
-      staged_.pop_front();
-      finished.emplace_back(txn, Status::Ok());
-    }
-    // On failure the head stays staged; advance_head_locked_ sees it
-    // failed and aborts the whole suffix.
-    advance_head_locked_(&finished);
-  }
-  for (auto& [t, s] : finished) finish_(t, s);
-}
-
-void Journal::advance_head_locked_(
-    std::vector<std::pair<StagedPtr, Status>>* finished) {
-  while (!staged_.empty()) {
-    StagedPtr head = staged_.front();
-    bool abort = pipeline_failed_ || head->failed;
-    if (!abort && head->payload_done && head->external_abort &&
-        head->external_abort->load(std::memory_order_acquire)) {
-      // Ordered-mode dependency: the caller's data writes for this
-      // transaction failed. Withhold the commit record -- metadata must
-      // never commit over lost data.
-      head->error = Errno::kIo;
-      abort = true;
-    }
-    if (abort) {
-      // No commit record may be submitted past a failed transaction
-      // (that is what makes a surviving commit record with seq >=
-      // expect_seq *proof* of destroyed history). Fail every staged
-      // transaction; the owner drains the async queue and rewinds.
-      pipeline_failed_ = true;
-      Status err = head->error.ok() ? Status(Errno::kIo) : head->error;
-      for (auto& t : staged_) {
-        t->failed = true;
-        if (t->error.ok()) t->error = err;
-        finished->emplace_back(t, t->error);
-      }
-      staged_.clear();
-      return;
-    }
-    if (!head->payload_done) return;  // payload barrier still in flight
-    if (head->nblocks == 0) {
-      // flush_async barrier: durable once it reaches the head with its
-      // flush complete (all earlier transactions are durable by then).
-      staged_.pop_front();
-      finished->emplace_back(head, Status::Ok());
-      continue;
-    }
-    if (head->commit_sent) return;  // waiting for on_commit_flushed_
-    head->commit_sent = true;
-    Commit c;
-    c.seq = head->seq;
-    c.ntags = head->ntags;
-    c.payload_crc = head->crc;
-    StagedPtr t = head;
-    // Safe under mu_: enqueue only takes the async device's own mutex,
-    // and completion callbacks acquire mu_ without holding it.
-    async_->submit_write(head->start + head->nblocks - 1,
-                         std::make_shared<const BlockBuf>(encode_commit(c)),
-                         [this, t](Status st) {
-                           if (!st.ok()) note_write_error_(t, st);
-                         });
-    async_->submit_flush(
-        [this, t](Status st) { on_commit_flushed_(t, st); });
-    return;
-  }
-}
-
-void Journal::finish_(const StagedPtr& txn, Status st) {
-  if (st.ok() && txn->nblocks > 0) {
-    commit_counter().inc();
-    blocks_written_counter().inc(txn->nblocks);
-  }
-  if (txn->done) txn->done(st, txn->seq);
-}
-
-bool Journal::pipeline_failed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pipeline_failed_;
-}
-
-void Journal::rewind_pipeline() {
-  // Precondition: the async queue is drained and every staged
-  // transaction's done callback has run (they all fail together when the
-  // pipeline fails). Rewinding reuses the failed transactions' sequence
-  // numbers and journal blocks, so their torn remains stay below the tail
-  // audit's expect_seq.
-  std::lock_guard<std::mutex> lk(mu_);
-  staged_.clear();
-  pipeline_failed_ = false;
-  cursor_ = durable_cursor_;
-  next_seq_ = durable_seq_ + 1;
-}
-
-size_t Journal::staged_txns() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return staged_.size();
 }
 
 Result<std::vector<JournalRecord>> Journal::committed_records() const {
   BlockNo log_end = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (!staged_.empty() || pipeline_failed_) return Errno::kInval;
-    // The pipeline is idle, so the durable cursor is exact: every durable
+    // No commit runs concurrently, so the cursor is exact: every durable
     // transaction lies below it and nothing beyond it can be live. Bound
     // the scan there -- on a device with real access latency the
     // alternative full-region tail audit costs tens of microseconds per
     // journal block for bytes that are stale by construction.
-    log_end = durable_cursor_;
+    log_end = cursor_;
   }
   RAEFS_TRY(auto txns, scan_committed(dev_, geo_, log_end));
   const auto floor = revoke_floor(txns);
@@ -677,20 +495,15 @@ Result<std::vector<JournalRecord>> Journal::committed_records() const {
 
 Status Journal::checkpoint() {
   std::lock_guard<std::mutex> lk(mu_);
-  // Checkpointing with transactions still in flight would raise the floor
-  // past commit records that are not yet durable.
-  if (!staged_.empty() || pipeline_failed_) return Errno::kInval;
   RAEFS_TRY_VOID(format(dev_, geo_, next_seq_ - 1));
   cursor_ = geo_.journal_start + 1;
-  durable_seq_ = next_seq_ - 1;
-  durable_cursor_ = cursor_;
   checkpoint_counter().inc();
   return Status::Ok();
 }
 
 uint64_t Journal::committed_seq() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return durable_seq_;
+  return next_seq_ - 1;
 }
 
 double Journal::fill_ratio() const {

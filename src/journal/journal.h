@@ -13,7 +13,7 @@
 //       ntags payload blocks (raw images of the target blocks)
 //       commit block     {magic, kind=2, seq, ntags, payload_crc}
 //
-// Both commit paths share one layout. A transaction larger than one
+// All transactions share one layout. A transaction larger than one
 // descriptor can hold -- a big epoch's delta or the recovery download's
 // install set -- is written as SEVERAL descriptor+payload chunks sharing
 // ONE sequence number, closed by a single commit record whose ntags is
@@ -47,20 +47,17 @@
 // history (a durable commit whose payload mismatches, or a surviving
 // *commit record* beyond the stop point with a sequence number past the
 // floor), which fails loudly with kCorrupt rather than silently
-// truncating durable transactions. Because commit records are strictly
-// sequenced by the pipelined commit path (below), descriptors/payloads
-// beyond the stop point are legal torn remains, but a commit record there
-// proves a later transaction once committed.
+// truncating durable transactions. Because the journal writes one
+// transaction at a time (commit(), below), descriptors/payloads beyond the
+// stop point are legal torn remains, but a commit record there proves a
+// later transaction once committed.
 #pragma once
 
-#include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "blockdev/async_device.h"
 #include "blockdev/block_device.h"
 #include "common/result.h"
 #include "format/layout.h"
@@ -122,83 +119,42 @@ class Journal {
 
   /// Durably commit one transaction of any size: every descriptor+payload
   /// chunk (one chunk when records + revokes fit a descriptor; see the
-  /// multi-chunk layout note above), flush, commit record, flush. Returns
-  /// the assigned sequence number. The whole set is atomic under power
-  /// cuts -- replay applies either none of it (no commit record) or all of
-  /// it. `revoked` lists blocks whose older journaled copies (seq <= this
-  /// transaction's) must not be replayed; it must leave room for at least
-  /// one tag in the first descriptor (kInval otherwise). Requires an idle
-  /// pipeline (kBusy otherwise) and enough free journal space for every
-  /// chunk (kNoSpace otherwise; nothing is written). Used by the base's
-  /// install and by a group commit larger than the whole region.
+  /// multi-chunk layout note above), `before_barrier`, flush, commit
+  /// record, flush. Returns the assigned sequence number once the commit
+  /// record is durable. The whole set is atomic under power cuts -- replay
+  /// applies either none of it (no commit record) or all of it. `revoked`
+  /// lists blocks whose older journaled copies (seq <= this transaction's)
+  /// must not be replayed; it must leave room for at least one tag in the
+  /// first descriptor (kInval otherwise). Needs enough free journal space
+  /// for every chunk (kNoSpace otherwise; nothing is written).
+  ///
+  /// `before_barrier`, when given, runs after the descriptor and payload
+  /// writes and before the payload flush: the group commit drains its
+  /// ordered-mode data writes there. An error from it withholds the
+  /// commit record -- metadata never commits over lost data -- and is
+  /// returned. On any error the cursor and the next sequence number stay
+  /// where they were, so a retry reuses both and overwrites the failed
+  /// transaction's remains.
   ///
   /// The pre-barrier blocks all land at precomputed positions, so their
   /// order is irrelevant -- the flush barrier alone orders the set against
   /// the commit record -- and they go through write_blocks
   /// (blockdev/prefetch.h) across up to `workers` threads; at one worker
   /// they are written in journal order.
+  ///
+  /// The owner serializes commit(), committed_records() and checkpoint();
+  /// has_space(), fill_ratio() and committed_seq() may run concurrently
+  /// with them.
   Result<uint64_t> commit(const std::vector<JournalRecord>& records,
                           const std::vector<BlockNo>& revoked = {},
-                          uint32_t workers = 1);
-
-  /// Completion of a pipelined transaction. Runs on an async worker once
-  /// the transaction is durable (commit record flushed) or has failed.
-  using CommitDoneCb = std::function<void(Status, uint64_t seq)>;
-
-  /// Pipelined group commit, in commit()'s layout. Reserves (seq, journal
-  /// blocks) and submits every chunk as one coalesced writev through
-  /// `async`, followed by a flush barrier. The commit record is submitted
-  /// only once (a) the barrier completed, proving the payload durable
-  /// first, (b) every
-  /// earlier staged transaction is durable (commit records are strictly
-  /// sequenced, so a surviving commit record with seq N proves all seqs
-  /// < N committed -- the torn-tail classification's prefix property),
-  /// and (c) neither this transaction's writes nor `external_abort` (the
-  /// caller's ordered-mode data writes) reported an error. A second flush
-  /// behind the commit record completes the transaction; `done` then runs
-  /// with Ok. On any failure the commit record is withheld, the pipeline
-  /// enters a failed state (all later staged transactions abort too), and
-  /// `done` runs with the error.
-  ///
-  /// Descriptor+payload blocks of transaction N+1 may reach the device
-  /// while transaction N's commit record + flush are still in flight:
-  /// that is the pipelining. Returns the reserved sequence number, or
-  /// kInval / kNoSpace (as commit()) / kBusy (pipeline failed; rewind
-  /// first) synchronously.
-  Result<uint64_t> commit_async(const std::vector<JournalRecord>& records,
-                                AsyncBlockDevice* async, CommitDoneCb done,
-                                std::shared_ptr<const std::atomic<bool>>
-                                    external_abort = nullptr,
-                                const std::vector<BlockNo>& revoked = {});
-
-  /// Stage a durability-only barrier: no journal blocks are written, but
-  /// `done` runs (after a flush) only once every earlier staged
-  /// transaction is durable. Used for epochs that dirtied file data but
-  /// no metadata.
-  Status flush_async(AsyncBlockDevice* async, CommitDoneCb done);
-
-  /// True once any staged transaction failed. While failed, commit_async
-  /// refuses new transactions; the owner must drain `async` and call
-  /// rewind_pipeline() before retrying.
-  bool pipeline_failed() const;
-
-  /// Discard failed/aborted staged transactions after the async queue has
-  /// been drained: the cursor and sequence counter rewind to just past the
-  /// last durable transaction, so a retry reuses the same sequence numbers
-  /// and journal blocks (stale torn descriptors beyond the rewind point
-  /// never received commit records and are tolerated by the tail audit).
-  void rewind_pipeline();
-
-  /// Staged transactions not yet durable.
-  size_t staged_txns() const;
+                          uint32_t workers = 1,
+                          const std::function<Status()>& before_barrier = {});
 
   /// Re-read every committed transaction's payload from the journal
   /// region, deduplicated to the latest copy per target block (in commit
   /// order). This is how the checkpointer obtains write-back content
   /// without retaining cache handles across epochs (which would force
-  /// copy-on-write clones on every re-dirty). Requires an idle pipeline
-  /// and a drained async queue (the region must be quiescent on device);
-  /// returns kInval otherwise.
+  /// copy-on-write clones on every re-dirty).
   Result<std::vector<JournalRecord>> committed_records() const;
 
   /// Declare all committed transactions checkpointed (their blocks have
@@ -240,46 +196,12 @@ class Journal {
                                             const Geometry& geo);
 
  private:
-  /// One staged pipelined transaction (or a flush_async barrier when
-  /// nblocks == 0). Shared with the async completion callbacks.
-  struct Staged {
-    uint64_t seq = 0;
-    BlockNo start = 0;      // descriptor position
-    uint64_t nblocks = 0;   // blocks_needed(); 0 = barrier-only
-    uint32_t ntags = 0;
-    uint32_t crc = 0;
-    bool payload_done = false;  // payload barrier completed OK
-    bool commit_sent = false;   // commit record + final flush submitted
-    bool failed = false;
-    Status error = Status::Ok();
-    std::shared_ptr<const std::atomic<bool>> external_abort;
-    CommitDoneCb done;
-  };
-  using StagedPtr = std::shared_ptr<Staged>;
-
-  void note_write_error_(const StagedPtr& txn, Status st);
-  void on_payload_barrier_(const StagedPtr& txn, Status st);
-  void on_commit_flushed_(const StagedPtr& txn, Status st);
-  // Must hold mu_. Submit the commit record + final flush for the staged
-  // head if it is ready; abort the whole staged suffix (and mark the
-  // pipeline failed) if the head or its ordered-data dependency failed.
-  // Retired transactions are appended to `finished`; the caller invokes
-  // finish_ on them after dropping mu_.
-  void advance_head_locked_(
-      std::vector<std::pair<StagedPtr, Status>>* finished);
-  void finish_(const StagedPtr& txn, Status st);
-
   BlockDevice* dev_;
   Geometry geo_;
 
   mutable std::mutex mu_;
   uint64_t next_seq_ = 1;
-  BlockNo cursor_ = 0;          // next free journal block (incl. staged)
-  uint64_t durable_seq_ = 0;    // last seq whose commit record is durable
-  BlockNo durable_cursor_ = 0;  // journal block after the last durable txn
-  bool pipeline_failed_ = false;
-  std::deque<StagedPtr> staged_;      // staging order == seq order
-  AsyncBlockDevice* async_ = nullptr; // bound at first commit_async
+  BlockNo cursor_ = 0;  // next free journal block
 };
 
 }  // namespace raefs

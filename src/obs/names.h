@@ -45,10 +45,8 @@ inline constexpr const char* kMJournalCommitLatencyNs =
     "journal.commit_latency_ns";                                    // histogram
 
 // --- metrics: block layer ---------------------------------------------------
-inline constexpr const char* kMBlockdevReads = "blockdev.reads";
 inline constexpr const char* kMBlockdevWrites = "blockdev.writes";
 inline constexpr const char* kMBlockdevWritevBatches = "blockdev.writev_batches";
-inline constexpr const char* kMBlockdevFlushes = "blockdev.flushes";
 inline constexpr const char* kMBlockdevInflight = "blockdev.inflight";  // gauge
 
 // --- metrics: RAE supervisor ------------------------------------------------

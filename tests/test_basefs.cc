@@ -450,10 +450,10 @@ TEST_F(BaseFsTest, ConcurrentNamespaceChurn) {
 TEST(BaseFsConcurrency, FsyncStormAcrossCheckpointFirstCommits) {
   // Four threads each create directories (a new dir block, two inodes and
   // a parent dirent per step) and fsync, on a journal so small that one
-  // epoch fills much of it. Staged epochs leave the next one no room, so
-  // its committer waits for the pipeline to go idle and checkpoints
-  // before its data writes -- while the other threads block on their
-  // epochs' acks. Every fsync must succeed and the tree must survive.
+  // epoch fills much of it. Committed epochs leave the next one no room,
+  // so its committer checkpoints before its data writes -- while the
+  // other threads block on their epochs' acks. Every fsync must succeed
+  // and the tree must survive.
   TestFsOptions opts;
   opts.with_clock = false;  // real threads, real async workers
   opts.journal_blocks = 24;

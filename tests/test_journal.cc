@@ -1,14 +1,11 @@
 // Journal tests: commit/replay round trips, torn-transaction discard,
 // checkpoint floor behaviour, idempotent replay, the stale-transaction
-// floor-preservation regression, and the pipelined commit path's strict
-// commit-record sequencing / failure-rewind behaviour.
+// floor-preservation regression, and commit's device order, its
+// before-barrier hook and its failure-retry behaviour.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <mutex>
 
-#include "blockdev/async_device.h"
 #include "blockdev/fault_device.h"
 #include "blockdev/mem_device.h"
 #include "format/layout.h"
@@ -288,13 +285,17 @@ TEST_F(JournalFixture, RejectsBadRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined commit path
+// Commit order, the before-barrier hook, failure and retry
 // ---------------------------------------------------------------------------
 
-/// Logs the order of writes (block number) and flushes (-1) reaching the
-/// device, so ordering invariants can be asserted after the fact.
+/// Logs the order of writes (block number), flushes (kFlush) and caller
+/// marks reaching the device, so ordering invariants can be asserted after
+/// the fact.
 class OrderLogDevice final : public BlockDevice {
  public:
+  static constexpr int64_t kFlush = -1;
+  static constexpr int64_t kHook = -2;
+
   explicit OrderLogDevice(BlockDevice* inner) : inner_(inner) {}
   uint32_t block_size() const override { return inner_->block_size(); }
   uint64_t block_count() const override { return inner_->block_count(); }
@@ -302,20 +303,18 @@ class OrderLogDevice final : public BlockDevice {
     return inner_->read_block(b, out);
   }
   Status write_block(BlockNo b, std::span<const uint8_t> d) override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      log_.push_back(static_cast<int64_t>(b));
-    }
+    mark(static_cast<int64_t>(b));
     return inner_->write_block(b, d);
   }
   Status flush() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      log_.push_back(-1);
-    }
+    mark(kFlush);
     return inner_->flush();
   }
   const DeviceStats& stats() const override { return inner_->stats(); }
+  void mark(int64_t event) {
+    std::lock_guard<std::mutex> lk(mu_);
+    log_.push_back(event);
+  }
   std::vector<int64_t> log() const {
     std::lock_guard<std::mutex> lk(mu_);
     return log_;
@@ -327,177 +326,89 @@ class OrderLogDevice final : public BlockDevice {
   std::vector<int64_t> log_;
 };
 
-/// Holds every write at the device boundary until opened, so a test can
-/// stage multiple async transactions before the first byte (and the first
-/// injected fault) can land. Reads and flushes pass through.
-class GateDevice final : public BlockDevice {
- public:
-  explicit GateDevice(BlockDevice* inner) : inner_(inner) {}
-  uint32_t block_size() const override { return inner_->block_size(); }
-  uint64_t block_count() const override { return inner_->block_count(); }
-  Status read_block(BlockNo b, std::span<uint8_t> out) override {
-    return inner_->read_block(b, out);
-  }
-  Status write_block(BlockNo b, std::span<const uint8_t> d) override {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return open_; });
-    }
-    return inner_->write_block(b, d);
-  }
-  Status flush() override { return inner_->flush(); }
-  const DeviceStats& stats() const override { return inner_->stats(); }
-  void open_gate() {
-    std::lock_guard<std::mutex> lk(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  BlockDevice* inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
-
-TEST_F(JournalFixture, PipelinedCommitRecordsAreStrictlySequenced) {
-  // Two transactions staged back to back. Whatever the async workers do,
-  // txn 2's commit record must reach the device only after txn 1's commit
-  // record AND a flush behind it (txn 1 durable first) -- the prefix
-  // property the torn-tail audit depends on.
+TEST_F(JournalFixture, CommitRecordsAreStrictlySequenced) {
+  // Each transaction's commit record follows a flush that follows its
+  // payload, the before-barrier hook runs between the payload and that
+  // flush, and the next transaction starts only once the commit record is
+  // flushed -- the prefix property the torn-tail audit depends on.
   OrderLogDevice logged(dev.get());
   Journal journal(&logged, geo);
   ASSERT_TRUE(journal.open().ok());
-  AsyncBlockDevice async(&logged, 2);
-
-  std::atomic<int> done_order{0};
-  std::atomic<int> first_done{0}, second_done{0};
-  auto seq1 = journal.commit_async(
-      {record(geo.data_start, 0x11)}, &async, [&](Status st, uint64_t) {
-        EXPECT_TRUE(st.ok());
-        first_done = done_order.fetch_add(1) + 1;
-      });
-  auto seq2 = journal.commit_async(
-      {record(geo.data_start + 1, 0x22)}, &async, [&](Status st, uint64_t) {
-        EXPECT_TRUE(st.ok());
-        second_done = done_order.fetch_add(1) + 1;
-      });
+  const auto hook = [&] {
+    logged.mark(OrderLogDevice::kHook);
+    return Status::Ok();
+  };
+  auto seq1 = journal.commit({record(geo.data_start, 0x11)}, {}, 1, hook);
+  auto seq2 = journal.commit({record(geo.data_start + 1, 0x22)}, {}, 1, hook);
   ASSERT_TRUE(seq1.ok());
   ASSERT_TRUE(seq2.ok());
   EXPECT_EQ(seq1.value(), 1u);
   EXPECT_EQ(seq2.value(), 2u);
-  async.drain();
-  EXPECT_EQ(journal.staged_txns(), 0u);
-  EXPECT_EQ(first_done.load(), 1);
-  EXPECT_EQ(second_done.load(), 2);
 
   // Layout: header js, txn1 = [js+1 desc, js+2 payload, js+3 commit],
   // txn2 = [js+4, js+5, js+6].
   const auto js = static_cast<int64_t>(geo.journal_start);
-  auto log = logged.log();
-  auto index_of = [&](int64_t v, size_t from) {
-    for (size_t i = from; i < log.size(); ++i) {
-      if (log[i] == v) return i;
-    }
-    ADD_FAILURE() << "event " << v << " not found from " << from;
-    return log.size();
-  };
-  size_t commit1 = index_of(js + 3, 0);
-  size_t flush_after_commit1 = index_of(-1, commit1 + 1);
-  size_t commit2 = index_of(js + 6, 0);
-  EXPECT_GT(commit2, flush_after_commit1)
-      << "txn 2's commit record landed before txn 1 was durable";
+  constexpr int64_t F = OrderLogDevice::kFlush;
+  constexpr int64_t H = OrderLogDevice::kHook;
+  const std::vector<int64_t> expected = {js + 1, js + 2, H, F, js + 3, F,
+                                         js + 4, js + 5, H, F, js + 6, F};
+  EXPECT_EQ(logged.log(), expected);
 
   ASSERT_TRUE(Journal::replay(dev.get(), geo).ok());
   EXPECT_EQ(read_block(geo.data_start), block_of(0x11));
   EXPECT_EQ(read_block(geo.data_start + 1), block_of(0x22));
 }
 
-TEST_F(JournalFixture, PipelineFailureAbortsSuffixAndRewindReusesSeqs) {
-  // The first transaction's descriptor write fails: both staged
-  // transactions must abort (commit records are strictly sequenced, so the
-  // suffix shares the fate), the pipeline reports failed, and after a
-  // drain + rewind the retry reuses the same sequence numbers and journal
+TEST_F(JournalFixture, FailedCommitReusesItsSeqAndBlocks) {
+  // The second transaction's descriptor write fails: commit reports the
+  // error, and the retry reuses the same sequence number and journal
   // blocks -- the stale remains stay below the tail audit's floor.
   FaultBlockDevice fdev(dev.get());
-  GateDevice gate(&fdev);
-  Journal journal(&gate, geo);
+  Journal journal(&fdev, geo);
   ASSERT_TRUE(journal.open().ok());
-  AsyncBlockDevice async(&gate, 1);
-  // The gate holds all writes until both transactions are staged, so the
-  // injected fault cannot fire (and poison the pipeline) between the two
-  // commit_async calls.
-  fdev.arm_write_error_at(0);
+  ASSERT_TRUE(journal.commit({record(geo.data_start, 0x11)}).ok());
+  fdev.arm_write_error_at(fdev.writes_seen());
+  EXPECT_EQ(journal.commit({record(geo.data_start + 1, 0x22)}).error(),
+            Errno::kIo);
+  EXPECT_EQ(journal.committed_seq(), 1u);
+  EXPECT_DOUBLE_EQ(journal.fill_ratio(), 4.0 / 64.0);  // header + txn 1
 
-  std::atomic<int> failures{0};
-  auto fail_cb = [&](Status st, uint64_t) {
-    if (!st.ok()) failures.fetch_add(1);
-  };
-  auto seq1 =
-      journal.commit_async({record(geo.data_start, 0x11)}, &async, fail_cb);
-  auto seq2 = journal.commit_async({record(geo.data_start + 1, 0x22)}, &async,
-                                   fail_cb);
-  ASSERT_TRUE(seq1.ok());
-  ASSERT_TRUE(seq2.ok());
-  gate.open_gate();
-  async.drain();
-  EXPECT_EQ(failures.load(), 2);
-  EXPECT_TRUE(journal.pipeline_failed());
-  EXPECT_EQ(journal.commit_async({record(geo.data_start, 0x33)}, &async,
-                                 fail_cb)
-                .error(),
-            Errno::kBusy);
-
-  journal.rewind_pipeline();
-  EXPECT_FALSE(journal.pipeline_failed());
-  std::atomic<int> oks{0};
-  auto ok_cb = [&](Status st, uint64_t) {
-    if (st.ok()) oks.fetch_add(1);
-  };
-  auto retry1 =
-      journal.commit_async({record(geo.data_start, 0x44)}, &async, ok_cb);
-  auto retry2 = journal.commit_async({record(geo.data_start + 1, 0x55)},
-                                     &async, ok_cb);
-  ASSERT_TRUE(retry1.ok());
-  ASSERT_TRUE(retry2.ok());
-  EXPECT_EQ(retry1.value(), seq1.value());  // seq + blocks reused
-  EXPECT_EQ(retry2.value(), seq2.value());
-  async.drain();
-  EXPECT_EQ(oks.load(), 2);
+  auto retry = journal.commit({record(geo.data_start + 1, 0x55)});
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(retry.value(), 2u);  // seq + blocks reused
+  EXPECT_DOUBLE_EQ(journal.fill_ratio(), 7.0 / 64.0);
 
   auto replayed = Journal::replay(dev.get(), geo);
   ASSERT_TRUE(replayed.ok());
   EXPECT_EQ(replayed.value().applied_txns, 2u);
-  EXPECT_EQ(read_block(geo.data_start), block_of(0x44));
+  EXPECT_EQ(read_block(geo.data_start), block_of(0x11));
   EXPECT_EQ(read_block(geo.data_start + 1), block_of(0x55));
 }
 
-TEST_F(JournalFixture, FlushAsyncBarrierOrdersBehindStagedTxns) {
-  // A barrier-only epoch completes strictly after the transaction staged
-  // before it -- the property a data-only fsync's ack rests on.
-  Journal journal(dev.get(), geo);
+TEST_F(JournalFixture, BeforeBarrierErrorWithholdsTheCommitRecord) {
+  // The group commit's ordered-mode data writes failed: the hook's error
+  // comes back from commit, no flush and no commit record follow the
+  // payload, replay applies nothing, and the retry reuses the sequence
+  // number.
+  OrderLogDevice logged(dev.get());
+  Journal journal(&logged, geo);
   ASSERT_TRUE(journal.open().ok());
-  AsyncBlockDevice async(dev.get(), 2);
+  auto failed = journal.commit({record(geo.data_start, 0x11)}, {}, 1,
+                               [] { return Status(Errno::kIo); });
+  EXPECT_EQ(failed.error(), Errno::kIo);
+  const auto js = static_cast<int64_t>(geo.journal_start);
+  EXPECT_EQ(logged.log(), (std::vector<int64_t>{js + 1, js + 2}));
+  auto seqs = Journal::scan(dev.get(), geo);
+  ASSERT_TRUE(seqs.ok());
+  EXPECT_TRUE(seqs.value().empty()) << "a torn tail, not a transaction";
 
-  std::atomic<int> order{0};
-  std::atomic<int> txn_done{0}, barrier_done{0};
-  ASSERT_TRUE(journal
-                  .commit_async({record(geo.data_start, 0x11)}, &async,
-                                [&](Status st, uint64_t) {
-                                  EXPECT_TRUE(st.ok());
-                                  txn_done = order.fetch_add(1) + 1;
-                                })
-                  .ok());
-  ASSERT_TRUE(journal
-                  .flush_async(&async,
-                               [&](Status st, uint64_t) {
-                                 EXPECT_TRUE(st.ok());
-                                 barrier_done = order.fetch_add(1) + 1;
-                               })
-                  .ok());
-  async.drain();
-  EXPECT_EQ(txn_done.load(), 1);
-  EXPECT_EQ(barrier_done.load(), 2);
+  auto retry = journal.commit({record(geo.data_start, 0x22)});
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(retry.value(), 1u);
+  auto replayed = Journal::replay(dev.get(), geo);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed.value().applied_txns, 1u);
+  EXPECT_EQ(read_block(geo.data_start), block_of(0x22));
 }
 
 TEST_F(JournalFixture, CommittedRecordsDedupsLatestWins) {
@@ -765,10 +676,10 @@ TEST_F(JournalMultiFixture, RefusesEmptyOversizedAndBusy) {
   EXPECT_EQ(read_block(geo.data_start), std::vector<uint8_t>(kBlockSize, 0x12));
 }
 
-TEST_F(JournalMultiFixture, PipelinedMultiChunkReplaysInOrder) {
-  // A pipelined transaction with more records than one descriptor holds,
-  // plus a revoke, and a single-chunk transaction staged right behind it:
-  // both replay in full, in sequence order.
+TEST_F(JournalMultiFixture, MultiChunkReplaysInOrder) {
+  // A transaction with more records than one descriptor holds, plus a
+  // revoke, and a single-chunk transaction right behind it: both replay
+  // in full, in sequence order.
   Journal journal(dev.get(), geo);
   ASSERT_TRUE(journal.open().ok());
   const BlockNo victim = geo.data_start + 4000;
@@ -779,19 +690,11 @@ TEST_F(JournalMultiFixture, PipelinedMultiChunkReplaysInOrder) {
   EXPECT_TRUE(journal.has_space(n, 1));
   EXPECT_FALSE(journal.has_space(1, Journal::max_descriptor_entries()));
 
-  AsyncBlockDevice async(dev.get(), 2);
-  std::atomic<int> oks{0};
-  auto ok_cb = [&](Status st, uint64_t) {
-    if (st.ok()) oks.fetch_add(1);
-  };
-  auto big = journal.commit_async(recs, &async, ok_cb, nullptr, {victim});
-  auto small =
-      journal.commit_async({record(geo.data_start, 0x88)}, &async, ok_cb);
+  auto big = journal.commit(recs, {victim});
+  auto small = journal.commit({record(geo.data_start, 0x88)});
   ASSERT_TRUE(big.ok());
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(small.value(), big.value() + 1);
-  async.drain();
-  EXPECT_EQ(oks.load(), 2);
 
   auto seqs = Journal::scan(dev.get(), geo);
   ASSERT_TRUE(seqs.ok());
@@ -807,10 +710,10 @@ TEST_F(JournalMultiFixture, PipelinedMultiChunkReplaysInOrder) {
             std::vector<uint8_t>(kBlockSize, 0x77));
 }
 
-TEST_F(JournalMultiFixture, PipelinedMultiChunkCutBeforeCommitDiscardsAll) {
-  // Power cut at the commit record of a multi-chunk pipelined
-  // transaction: its payload barrier completed, so every chunk is
-  // durable, yet replay applies none of it -- its revoke included.
+TEST_F(JournalMultiFixture, MultiChunkCutBeforeCommitDiscardsAll) {
+  // Power cut at the commit record of a multi-chunk transaction: its
+  // payload flush completed, so every chunk is durable, yet replay
+  // applies none of it -- its revoke included.
   FaultBlockDevice fdev(dev.get());
   Journal journal(&fdev, geo);
   ASSERT_TRUE(journal.open().ok());
@@ -823,14 +726,7 @@ TEST_F(JournalMultiFixture, PipelinedMultiChunkCutBeforeCommitDiscardsAll) {
   // The commit record is the transaction's last write.
   fdev.arm_crash_after_writes(fdev.writes_seen() +
                               Journal::blocks_needed(n, 1) - 1);
-  AsyncBlockDevice async(&fdev, 1);
-  std::atomic<bool> failed{false};
-  auto seq = journal.commit_async(
-      recs, &async, [&](Status st, uint64_t) { failed = !st.ok(); }, nullptr,
-      {victim});
-  ASSERT_TRUE(seq.ok());
-  async.drain();
-  EXPECT_TRUE(failed.load());
+  EXPECT_FALSE(journal.commit(recs, {victim}).ok());
   fdev.disarm();
   dev->crash();
 

@@ -5,7 +5,7 @@
 
 #include <atomic>
 
-#include "blockdev/async_device.h"
+#include "basefs/async_device.h"
 #include "blockdev/mem_device.h"
 #include "common/serial.h"
 #include "common/stats.h"
@@ -20,11 +20,12 @@ TEST(AsyncDevice, ShutdownDrainsQueuedWork) {
   {
     AsyncBlockDevice async(&inner, 1);  // single worker: queue builds up
     for (BlockNo b = 0; b < 100; ++b) {
-      async.submit_write(b, std::vector<uint8_t>(kBlockSize, 1),
-                         [&](Status st) {
-                           EXPECT_TRUE(st.ok());
-                           ++done;
-                         });
+      async.submit_writev(
+          b, {std::make_shared<const BlockBuf>(kBlockSize, uint8_t{1})},
+          [&](Status st) {
+            EXPECT_TRUE(st.ok());
+            ++done;
+          });
     }
     async.shutdown();  // must complete everything already queued
   }
@@ -40,8 +41,9 @@ TEST(AsyncDevice, ShutdownIsIdempotentAndDropsLateSubmissions) {
   async.shutdown();
   async.shutdown();  // no deadlock, no double-join
   std::atomic<bool> ran{false};
-  async.submit_write(0, std::vector<uint8_t>(kBlockSize, 1),
-                     [&](Status) { ran = true; });
+  async.submit_writev(
+      0, {std::make_shared<const BlockBuf>(kBlockSize, uint8_t{1})},
+      [&](Status) { ran = true; });
   async.drain();
   EXPECT_FALSE(ran.load());  // dropped: the device is stopping
 }

@@ -164,8 +164,8 @@ TEST(Stress, FsyncStormAckedDataSurvivesPowerCut) {
   // machine loses power the instant the storm ends: no unmount, in-memory
   // state dropped, volatile device cache discarded. The group-commit
   // engine may collapse any number of concurrent fsyncs into one journal
-  // transaction and pipeline the epochs, but an Ok fsync must still mean
-  // "durable NOW" -- after remount every acked byte must be present.
+  // transaction, but an Ok fsync must still mean "durable NOW" -- after
+  // remount every acked byte must be present.
   TestFsOptions opts;
   opts.with_clock = false;  // real threads, real async workers
   auto t = make_test_fs(opts);

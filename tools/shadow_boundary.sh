@@ -5,7 +5,7 @@
 # single-threaded and verifiable (paper §2.3, §4.3): a pure library that
 # maps a read-only device and an op log to an outcome. Everything
 # operational -- the read-ahead's threads, trace spans, flight events --
-# belongs to its caller (run_shadow, src/rae/executor.h). Three checks,
+# belongs to its caller (run_shadow, src/rae/executor.h). Four checks,
 # enforced as the `shadow_boundary` ctest:
 #
 #  1. Header closure: the quoted includes of src/shadowfs/*.{h,cc},
@@ -17,6 +17,9 @@
 #  3. Symbols: when nm and the built library are at hand, the library's
 #     undefined symbols name nothing in raefs::obs:: and no
 #     raefs::BaseFs, WorkerPool, PrefetchedDevice or resolve_workers.
+#  4. Link closure: the target_link_libraries lines of those four
+#     libraries, followed transitively through src/<name>/CMakeLists.txt
+#     for each raefs_<name>, never reach raefs_obs.
 #
 # It then prints the trusted size: the lines of src/shadowfs/ plus the
 # lines of its header closure.
@@ -100,6 +103,35 @@ if [ -n "$lib" ] && [ -f "$lib" ] && command -v nm >/dev/null 2>&1; then
 else
   symbols="skipped (no nm or no library given)"
 fi
+
+# --- check 4: link closure ---------------------------------------------------
+# The raefs_* libraries one target_link_libraries line of raefs_<name> names.
+links_of() {
+  f="$src/${1#raefs_}/CMakeLists.txt"
+  [ -f "$f" ] || return 0
+  tr '\n' ' ' < "$f" \
+    | grep -o "target_link_libraries([[:space:]]*$1[[:space:]][^)]*)" \
+    | tr -s ' \t()' '\n' \
+    | grep -x 'raefs_[a-z_]*' | grep -v -x "$1"
+}
+reached=""
+todo="$allowed_links"
+while [ -n "$todo" ]; do
+  next=""
+  for l in $todo; do
+    case " $reached " in *" $l "*) continue ;; esac
+    reached="$reached $l"
+    for dep in $(links_of "$l"); do
+      if [ "$dep" = raefs_obs ]; then
+        echo "shadow_boundary: $l links raefs_obs, which puts obs in the" \
+             "shadow's link closure" >&2
+        failed=$((failed + 1))
+      fi
+      next="$next $dep"
+    done
+  done
+  todo=$(echo $next)
+done
 
 # --- trusted size -------------------------------------------------------------
 shadow_lines=$(cd "$src" && cat shadowfs/*.h shadowfs/*.cc | wc -l)
