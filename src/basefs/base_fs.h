@@ -54,9 +54,9 @@
 #include "cache/dentry_cache.h"
 #include "cache/inode_cache.h"
 #include "common/clock.h"
-#include "common/panic.h"
 #include "common/result.h"
 #include "common/stats.h"
+#include "common/warn.h"
 #include "faults/bug_registry.h"
 #include "format/bitmap.h"
 #include "format/dirent.h"

@@ -1,24 +1,22 @@
-// Panic, WARN and invariant-check machinery.
+// Panic and invariant-check machinery.
 //
 // Mirrors the kernel error surface the paper studies:
 //  - FsPanicError  ~ BUG()/oops: the base filesystem hit a fatal bug. The
 //    RAE supervisor catches this and runs recovery; without RAE it crashes
 //    the "machine" (crash-restart baseline).
-//  - WarnEvent/WarnSink ~ WARN_ON(): the suggested substitute for BUG() in
-//    Linux. The base continues after a WARN; the supervisor applies a
-//    configurable escalation policy.
 //  - ShadowCheckError: a runtime check inside the *shadow* failed. The
 //    shadow is the robust alternative, so this signals either a hardware
 //    fault outside the model or an unrecoverable image; it is never turned
 //    into silent continuation.
+// The WARN_ON() analogue, WarnSink, is in common/warn.h: it is thread-safe,
+// and this header stays free of thread primitives because the shadow
+// includes it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace raefs {
 
@@ -58,38 +56,6 @@ class ShadowCheckError : public std::runtime_error {
 /// recorder to dump its ring at the moment of detection. At most one hook;
 /// it must not throw.
 void set_panic_hook(std::function<void(const FaultSite&)> hook);
-
-/// One WARN_ON()-style event emitted by the base.
-struct WarnEvent {
-  FaultSite site;
-  uint64_t seq = 0;  // assigned by the sink, monotonic
-};
-
-/// Collects WARN events from one base-filesystem instance. Thread-safe.
-/// The RAE supervisor inspects the sink to apply its escalation policy.
-class WarnSink {
- public:
-  /// Record a WARN; returns its sequence number.
-  uint64_t warn(FaultSite site);
-
-  /// Number of WARNs recorded so far.
-  uint64_t count() const;
-
-  /// Copy of all recorded events (test/diagnostic use).
-  std::vector<WarnEvent> events() const;
-
-  /// Drop all recorded events (after a contained reboot).
-  void clear();
-
-  /// Optional observer invoked synchronously on each WARN (supervisor hook).
-  void set_observer(std::function<void(const WarnEvent&)> cb);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<WarnEvent> events_;
-  uint64_t next_seq_ = 1;
-  std::function<void(const WarnEvent&)> observer_;
-};
 
 namespace detail {
 [[noreturn]] void shadow_check_fail(const char* expr, const char* file,

@@ -16,6 +16,7 @@
 #include "basefs/base_fs.h"
 #include "blockdev/mem_device.h"
 #include "common/stats.h"
+#include "common/warn.h"
 
 namespace raefs {
 

@@ -30,6 +30,7 @@
 #include "basefs/base_fs.h"
 #include "blockdev/block_device.h"
 #include "common/stats.h"
+#include "common/warn.h"
 #include "oplog/op_log.h"
 #include "rae/executor.h"
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include "basefs/base_fs.h"
+#include "common/warn.h"
 #include "oplog/payload.h"
 #include "ufs/ufs_proto.h"
 

@@ -6,6 +6,7 @@
 #include "basefs/base_fs.h"
 #include "blockdev/mem_device.h"
 #include "common/clock.h"
+#include "common/warn.h"
 
 namespace raefs {
 namespace testing_support {

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "common/warn.h"
 #include "faults/bug_library.h"
 #include "fsck/fsck.h"
 #include "tests/support/fixtures.h"

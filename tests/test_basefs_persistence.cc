@@ -5,6 +5,8 @@
 
 #include "blockdev/fault_device.h"
 #include "fsck/fsck.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "tests/support/fixtures.h"
 
 namespace raefs {
@@ -166,18 +168,24 @@ TEST(Persistence, OversizedTransactionSplitsAndSurvives) {
   opts.journal_blocks = 16;  // max ~13 records per txn
   opts.total_blocks = 8192;
   auto t = make_test_fs(opts);
-  // Dirty far more metadata blocks than one journal txn can hold: lots of
-  // directories (each with its own dir block + inode table blocks).
+  // Dirty far more metadata blocks than the whole region holds: each
+  // directory gets a file, so each adds its own directory block besides
+  // the shared inode-table and bitmap blocks.
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(t.fs->mkdir("/dir" + std::to_string(i), 0755).ok());
+    const std::string dir = "/dir" + std::to_string(i);
+    ASSERT_TRUE(t.fs->mkdir(dir, 0755).ok());
+    ASSERT_TRUE(t.fs->create(dir + "/f", 0644).ok());
   }
+  obs::Counter& commits = obs::metrics().counter(obs::kMJournalCommits);
+  const uint64_t before = commits.value();
   ASSERT_TRUE(t.fs->sync().ok());
+  EXPECT_GT(commits.value() - before, 1u) << "the sync did not split";
   ASSERT_TRUE(t.fs->unmount().ok());
 
   auto fs2 = BaseFs::mount(t.device.get(), default_base(), t.clock);
   ASSERT_TRUE(fs2.ok());
   for (int i = 0; i < 60; ++i) {
-    EXPECT_TRUE(fs2.value()->lookup("/dir" + std::to_string(i)).ok());
+    EXPECT_TRUE(fs2.value()->lookup("/dir" + std::to_string(i) + "/f").ok());
   }
 }
 

@@ -2,8 +2,11 @@
 // stats, path normalization, panic/WARN machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,8 @@
 #include "common/rng.h"
 #include "common/serial.h"
 #include "common/stats.h"
+#include "common/types.h"
+#include "common/warn.h"
 
 namespace raefs {
 namespace {
@@ -49,6 +54,58 @@ TEST(Result, TryMacroPropagates) {
   EXPECT_EQ(try_helper(Result<int>(Errno::kExist)).error(), Errno::kExist);
 }
 
+// CRC32C straight from the reflected polynomial, one bit at a time: no
+// table and no instruction, so it shares nothing with either crc32c() path.
+uint32_t crc32c_bitwise(std::span<const uint8_t> data, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (uint8_t b : data) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> random_bytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.next());
+  return out;
+}
+
+// Declared first among the checksum tests so that, in a run of this
+// binary, one of these threads makes the process's first crc32c() call and
+// resolves the dispatch while the others race it (the TSan job runs it).
+TEST(Checksum, ConcurrentFirstUseMatchesReference) {
+  constexpr int kThreads = 8;
+  constexpr int kBuffers = 16;
+  std::vector<std::vector<uint8_t>> bufs;
+  std::vector<uint32_t> want;
+  for (int i = 0; i < kBuffers; ++i) {
+    bufs.push_back(random_bytes(1 + i * 517, 100 + i));
+    want.push_back(crc32c_bitwise(bufs.back()));
+  }
+  std::vector<std::vector<uint32_t>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kBuffers; ++i) {
+        got[t].push_back(crc32c(bufs[(i + t) % kBuffers]));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kBuffers; ++i) {
+      EXPECT_EQ(got[t][i], want[(i + t) % kBuffers]) << "thread " << t;
+    }
+  }
+}
+
 TEST(Checksum, KnownVector) {
   // CRC32C("123456789") = 0xE3069283 (standard check value).
   const char* s = "123456789";
@@ -71,6 +128,70 @@ TEST(Checksum, DetectsBitFlip) {
   data[1234] ^= 0x01;
   EXPECT_NE(before, crc32c(data.data(), data.size()));
 }
+
+// Each check below runs against both implementations: crc32c() as
+// dispatched on this host, and the table loop it falls back to elsewhere.
+using CrcFn = uint32_t (*)(std::span<const uint8_t>, uint32_t);
+
+class ChecksumPath : public ::testing::TestWithParam<CrcFn> {};
+
+TEST_P(ChecksumPath, Rfc3720Vectors) {
+  // RFC 3720 (iSCSI) appendix B.4.
+  const CrcFn crc = GetParam();
+  std::vector<uint8_t> data(32);
+  std::fill(data.begin(), data.end(), 0x00);
+  EXPECT_EQ(crc(data, 0), 0x8A9136AAu);
+  std::fill(data.begin(), data.end(), 0xFF);
+  EXPECT_EQ(crc(data, 0), 0x62A8AB43u);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(crc(data, 0), 0x46DD794Eu);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(31 - i);
+  }
+  EXPECT_EQ(crc(data, 0), 0x113FDB5Cu);
+  const auto* check = reinterpret_cast<const uint8_t*>("123456789");
+  EXPECT_EQ(crc({check, 9}, 0), 0xE3069283u);  // the standard check value
+}
+
+TEST_P(ChecksumPath, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0-64, then 200 seeded lengths up to three blocks; each at
+  // start offsets 0-7 (so the 8-byte loop meets every alignment and tail)
+  // from a random seed.
+  const CrcFn crc = GetParam();
+  Rng rng(2024);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(rng.below(3 * kBlockSize + 1));
+  }
+  const auto buf = random_bytes(3 * kBlockSize + 8, 7);
+  for (size_t n : lengths) {
+    for (size_t off = 0; off < 8; ++off) {
+      const auto seed = static_cast<uint32_t>(rng.next());
+      std::span<const uint8_t> part(buf.data() + off, n);
+      ASSERT_EQ(crc(part, seed), crc32c_bitwise(part, seed))
+          << "length " << n << " offset " << off << " seed " << seed;
+    }
+  }
+}
+
+TEST_P(ChecksumPath, ChainsAtEverySplitOfABlock) {
+  const CrcFn crc = GetParam();
+  const auto block = random_bytes(kBlockSize, 11);
+  const std::span<const uint8_t> all(block);
+  const uint32_t whole = crc32c_bitwise(all);
+  for (size_t split = 0; split <= all.size(); ++split) {
+    const uint32_t head = crc(all.first(split), 0);
+    ASSERT_EQ(crc(all.subspan(split), head), whole) << "split " << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, ChecksumPath,
+    ::testing::Values(static_cast<CrcFn>(&crc32c), &crc32c_table),
+    [](const ::testing::TestParamInfo<CrcFn>& info) {
+      return std::string(info.index == 0 ? "Dispatched" : "Table");
+    });
 
 TEST(Rng, DeterministicPerSeed) {
   Rng a(7), b(7), c(8);

@@ -1,12 +1,16 @@
 // On-disk format tests: layout geometry, superblock, inodes, directory
-// entries, bitmaps -- round trips and validation rejections.
+// entries, bitmaps -- round trips and validation rejections -- and a pin
+// on the bytes of one whole image.
 #include <gtest/gtest.h>
 
+#include "basefs/base_fs.h"
+#include "blockdev/mem_device.h"
 #include "format/bitmap.h"
 #include "format/dirent.h"
 #include "format/inode.h"
 #include "format/layout.h"
 #include "format/superblock.h"
+#include "journal/journal.h"
 
 namespace raefs {
 namespace {
@@ -279,6 +283,50 @@ TEST(Bitmap, ConstViewAgrees) {
   EXPECT_TRUE(cview.test(0));
   EXPECT_TRUE(cview.test(60));
   EXPECT_EQ(cview.count_set(), 2u);
+}
+
+// The format pin: every byte a fixed sequence of calls persists, hashed.
+// The image is mkfs at a fixed geometry plus one synced epoch, which leaves
+// exactly one committed journal transaction (descriptor, payloads, commit
+// record) beside the superblock, bitmaps, inode table and file data, so
+// every CRC32C-sealed structure is in it. No clock: timestamps stay 0.
+// The constant was recorded before the hardware CRC32C kernel landed; a
+// change to any on-disk byte must change it on purpose.
+TEST(FormatPin, MkfsPlusOneCommitIsByteStable) {
+  constexpr uint64_t kTotal = 2048;
+  MemBlockDevice dev(kTotal);
+  MkfsOptions mkfs;
+  mkfs.total_blocks = kTotal;
+  mkfs.inode_count = 256;
+  mkfs.journal_blocks = 64;
+  ASSERT_TRUE(BaseFs::mkfs(&dev, mkfs).ok());
+  {
+    auto fs = BaseFs::mount(&dev, BaseFsOptions{});
+    ASSERT_TRUE(fs.ok());
+    ASSERT_TRUE(fs.value()->mkdir("/d", 0755).ok());
+    auto ino = fs.value()->create("/d/f", 0644);
+    ASSERT_TRUE(ino.ok());
+    std::vector<uint8_t> data(3 * kBlockSize + 100);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<uint8_t>(i * 131 + 7);
+    }
+    ASSERT_TRUE(fs.value()->write(ino.value(), 0, 0, data).ok());
+    ASSERT_TRUE(fs.value()->symlink("/ln", "/d/f").ok());
+    ASSERT_TRUE(fs.value()->sync().ok());
+  }  // dropped without unmount: the transaction stays in the journal
+
+  auto geo = compute_geometry(mkfs.total_blocks, mkfs.inode_count,
+                              mkfs.journal_blocks);
+  ASSERT_TRUE(geo.ok());
+  auto seqs = Journal::scan(&dev, geo.value());
+  ASSERT_TRUE(seqs.ok());
+  ASSERT_EQ(seqs.value().size(), 1u);
+
+  uint64_t fnv = 0xcbf29ce484222325ull;  // FNV-1a 64
+  for (uint8_t b : dev.persisted_image()) {
+    fnv = (fnv ^ b) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(fnv, 0xc0ac5ba871bdaff7ull) << std::hex << "image hash 0x" << fnv;
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #  1. Header closure: the quoted includes of src/shadowfs/*.{h,cc},
 #     followed transitively, stay inside common/, format/, oplog/ and
 #     blockdev/block_device.h, and no file in the closure includes
-#     <thread>, <condition_variable> or <future>.
+#     <thread>, <condition_variable>, <future>, <mutex> or <shared_mutex>.
 #  2. Link line: src/shadowfs/CMakeLists.txt links nothing beyond
 #     raefs_common raefs_blockdev raefs_format raefs_oplog.
 #  3. Symbols: when nm and the built library are at hand, the library's
@@ -62,7 +62,7 @@ while [ -n "$todo" ]; do
         failed=$((failed + 1))
         closure="$closure $f" ;;
     esac
-    if grep -qE '^[[:space:]]*#[[:space:]]*include[[:space:]]*<(thread|condition_variable|future)>' "$src/$f"; then
+    if grep -qE '^[[:space:]]*#[[:space:]]*include[[:space:]]*<(thread|condition_variable|future|mutex|shared_mutex)>' "$src/$f"; then
       echo "shadow_boundary: $f (in the shadow's closure) includes a" \
            "threading header" >&2
       failed=$((failed + 1))
