@@ -1,13 +1,15 @@
 // Substrate micro-benchmarks (wall time): the building blocks every
 // experiment stands on -- CRC32C, on-disk codecs, bitmap scans, block
-// cache hit/miss paths, journal commit/replay, and the base<->shadow wire
-// format. Not a paper figure; the engineering baseline an OSS release
-// ships so regressions in the substrate are visible.
+// cache hit/miss paths, the inode cache's write-back snapshot, journal
+// commit/replay, and the base<->shadow wire format. Not a paper figure;
+// the engineering baseline an OSS release ships so regressions in the
+// substrate are visible.
 #include <benchmark/benchmark.h>
 
 #include "blockdev/mem_device.h"
 #include "cache/block_cache.h"
 #include "cache/dentry_cache.h"
+#include "cache/inode_cache.h"
 #include "common/checksum.h"
 #include "format/bitmap.h"
 #include "format/dirent.h"
@@ -102,6 +104,22 @@ void BM_DentryCacheLookup(benchmark::State& state) {
   }
 }
 
+// One sync's inode write-back snapshot: N clean cached inodes (the cache
+// never evicts, so N grows toward the inode table) plus 2 dirty ones.
+void BM_InodeCacheDirtySnapshot(benchmark::State& state) {
+  InodeCache cache;
+  DiskInode n;
+  n.type = FileType::kRegular;
+  n.nlink = 1;
+  const auto clean = static_cast<Ino>(state.range(0));
+  for (Ino ino = 1; ino <= clean; ++ino) cache.put(ino, n, /*dirty=*/false);
+  cache.put(clean + 1, n, /*dirty=*/true);
+  cache.put(clean + 2, n, /*dirty=*/true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.dirty_snapshot());
+  }
+}
+
 void BM_JournalCommit(benchmark::State& state) {
   auto geo = compute_geometry(8192, 1024, 1024).value();
   MemBlockDevice dev(8192);
@@ -168,6 +186,7 @@ BENCHMARK(BM_BitmapFindClear);
 BENCHMARK(BM_BlockCacheHit);
 BENCHMARK(BM_BlockCacheMissEvict);
 BENCHMARK(BM_DentryCacheLookup);
+BENCHMARK(BM_InodeCacheDirtySnapshot)->Arg(64)->Arg(2048)->Arg(16384);
 BENCHMARK(BM_JournalCommit);
 BENCHMARK(BM_JournalReplay)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_WireRoundTrip)->Unit(benchmark::kMicrosecond);

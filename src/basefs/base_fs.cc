@@ -309,6 +309,9 @@ Result<DiskInode> BaseFs::get_inode(Ino ino) {
   BASE_BUG_ON(!decoded.ok(), "BaseFs::get_inode",
               "on-disk inode failed validation (corrupt or crafted image)");
   if (opts_.use_inode_cache) {
+    // stat_ino holds no inode lock, so its fill can land after a writer
+    // has filled, changed and dirtied this inode; a fill inserts only if
+    // absent, so the writer's copy stays.
     inode_cache_.put(ino, decoded.value(), /*dirty=*/false);
   }
   return decoded.value();

@@ -13,7 +13,9 @@
 //   - op_gate_ (shared_mutex): every op holds it shared; the commit
 //     engine takes it exclusive only for the brief *epoch rotation*
 //     barrier (flush the inode cache, snapshot the epoch's dirty delta,
-//     advance the open epoch) -- no IO happens under the gate. All
+//     advance the open epoch) -- no IO happens under the gate, and its
+//     cost is O(inodes and blocks dirtied in the epoch), since both
+//     caches keep exact dirty lists, not O(entries cached). All
 //     journal and device work runs outside it, concurrently with new
 //     operations dirtying the next epoch.
 //   - commit_mu_/commit_cv_: the group-commit engine. fsync/sync joins

@@ -19,24 +19,33 @@ std::optional<DiskInode> InodeCache::get(Ino ino) const {
 void InodeCache::put(Ino ino, const DiskInode& inode, bool dirty) {
   Shard& s = shard_of(ino);
   std::lock_guard<std::mutex> lk(s.mu);
-  auto& e = s.map[ino];
+  if (!dirty) {
+    auto [it, inserted] = s.map.try_emplace(ino);
+    if (inserted) it->second.inode = inode;
+    return;
+  }
+  Entry& e = s.map[ino];
   e.inode = inode;
-  e.dirty = e.dirty || dirty;
+  if (e.dirty) return;
+  e.dirty = true;
+  s.dirty_list.push_front(ino);
+  e.dirty_pos = s.dirty_list.begin();
 }
 
 void InodeCache::erase(Ino ino) {
   Shard& s = shard_of(ino);
   std::lock_guard<std::mutex> lk(s.mu);
-  s.map.erase(ino);
+  auto it = s.map.find(ino);
+  if (it == s.map.end()) return;
+  if (it->second.dirty) s.dirty_list.erase(it->second.dirty_pos);
+  s.map.erase(it);
 }
 
 std::vector<std::pair<Ino, DiskInode>> InodeCache::dirty_snapshot() const {
   std::vector<std::pair<Ino, DiskInode>> out;
   for (const auto& s : shards_) {
     std::lock_guard<std::mutex> lk(s.mu);
-    for (const auto& [ino, e] : s.map) {
-      if (e.dirty) out.emplace_back(ino, e.inode);
-    }
+    for (Ino ino : s.dirty_list) out.emplace_back(ino, s.map.at(ino).inode);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -47,13 +56,16 @@ void InodeCache::mark_clean(Ino ino) {
   Shard& s = shard_of(ino);
   std::lock_guard<std::mutex> lk(s.mu);
   auto it = s.map.find(ino);
-  if (it != s.map.end()) it->second.dirty = false;
+  if (it == s.map.end() || !it->second.dirty) return;
+  it->second.dirty = false;
+  s.dirty_list.erase(it->second.dirty_pos);
 }
 
 void InodeCache::drop_all() {
   for (auto& s : shards_) {
     std::lock_guard<std::mutex> lk(s.mu);
     s.map.clear();
+    s.dirty_list.clear();
   }
 }
 

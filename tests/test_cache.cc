@@ -2,6 +2,8 @@
 // inode cache, dentry cache (positive/negative entries, invalidation).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <thread>
 
 #include "blockdev/mem_device.h"
@@ -222,12 +224,131 @@ TEST(InodeCache, PutGetEraseDirty) {
 
 TEST(InodeCache, DirtyStickyAcrossCleanPut) {
   InodeCache cache;
+  DiskInode stale;
+  stale.type = FileType::kRegular;
+  stale.nlink = 1;
+  DiskInode fresh = stale;
+  fresh.size = 8192;
+  fresh.direct[0] = 77;
+  cache.put(9, fresh, /*dirty=*/true);
+  // A late fill from a table block decoded before the dirtying put must
+  // lose neither the dirty bit nor the newer content.
+  cache.put(9, stale, /*dirty=*/false);
+  auto dirty = cache.dirty_snapshot();
+  ASSERT_EQ(dirty.size(), 1u);
+  EXPECT_EQ(dirty[0].second, fresh);
+  auto got = cache.get(9);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, fresh);
+
+  // Once written back and clean, the entry is the table's content, so a
+  // late fill still must not roll it back.
+  cache.mark_clean(9);
+  cache.put(9, stale, /*dirty=*/false);
+  EXPECT_EQ(*cache.get(9), fresh);
+  EXPECT_TRUE(cache.dirty_snapshot().empty());
+}
+
+DiskInode inode_with(uint64_t size) {
   DiskInode n;
   n.type = FileType::kRegular;
   n.nlink = 1;
-  cache.put(9, n, /*dirty=*/true);
-  cache.put(9, n, /*dirty=*/false);  // must not lose dirtiness
-  EXPECT_EQ(cache.dirty_snapshot().size(), 1u);
+  n.size = size;
+  return n;
+}
+
+// Randomized differential test against a std::map reference: after every
+// step the dirty snapshot must be exactly the reference's dirty entries,
+// in ino order, each with its latest content.
+TEST(InodeCache, DirtySnapshotMatchesReferenceModel) {
+  struct Ref {
+    DiskInode inode;
+    bool dirty = false;
+  };
+  std::mt19937_64 rng(20241019);
+  InodeCache cache;  // 8 shards; inos 1..300 land in all of them
+  std::map<Ino, Ref> ref;
+  constexpr Ino kInos = 300;
+  for (int step = 0; step < 20000; ++step) {
+    const Ino ino = 1 + rng() % kInos;
+    const uint64_t size = rng() % 100000;
+    const int op = static_cast<int>(rng() % 100);
+    if (op < 35) {
+      cache.put(ino, inode_with(size), /*dirty=*/true);
+      ref[ino] = Ref{inode_with(size), true};
+    } else if (op < 65) {
+      cache.put(ino, inode_with(size), /*dirty=*/false);
+      ref.try_emplace(ino, Ref{inode_with(size), false});
+    } else if (op < 90) {
+      cache.mark_clean(ino);
+      if (auto it = ref.find(ino); it != ref.end()) it->second.dirty = false;
+    } else if (op < 99) {
+      cache.erase(ino);
+      ref.erase(ino);
+    } else if (rng() % 8 == 0) {
+      cache.drop_all();
+      ref.clear();
+    }
+
+    std::vector<std::pair<Ino, DiskInode>> want;
+    for (const auto& [i, r] : ref) {
+      if (r.dirty) want.emplace_back(i, r.inode);
+    }
+    auto got = cache.dirty_snapshot();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(got[k].first, want[k].first) << "step " << step;
+      ASSERT_EQ(got[k].second, want[k].second) << "step " << step;
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+    auto one = cache.get(ino);
+    auto it = ref.find(ino);
+    ASSERT_EQ(one.has_value(), it != ref.end()) << "step " << step;
+    if (one) {
+      ASSERT_EQ(*one, it->second.inode) << "step " << step;
+    }
+  }
+}
+
+// put and mark_clean from 8 threads on overlapping inos (run under TSan in
+// CI). Each thread's last touch of an ino is a dirty put of its own tag,
+// so once all threads join, every ino is dirty and its snapshot content is
+// one of the writers' last tags.
+TEST(InodeCache, ConcurrentPutAndMarkClean) {
+  InodeCache cache;
+  constexpr int kThreads = 8;
+  constexpr Ino kInos = 64;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      std::mt19937 rng(static_cast<unsigned>(t));
+      for (int i = 0; i < 4000; ++i) {
+        const Ino ino = 1 + rng() % kInos;
+        switch (rng() % 4) {
+          case 0: cache.put(ino, inode_with(i), /*dirty=*/false); break;
+          case 1: cache.mark_clean(ino); break;
+          default: cache.put(ino, inode_with(i), /*dirty=*/true); break;
+        }
+        (void)cache.dirty_snapshot().size();
+      }
+      for (Ino ino = 1; ino <= kInos; ++ino) {
+        cache.put(ino, inode_with(1000000 + t), /*dirty=*/true);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  auto dirty = cache.dirty_snapshot();
+  ASSERT_EQ(dirty.size(), kInos);
+  for (size_t k = 0; k < dirty.size(); ++k) {
+    EXPECT_EQ(dirty[k].first, k + 1);
+    EXPECT_GE(dirty[k].second.size, 1000000u);
+    EXPECT_LT(dirty[k].second.size, 1000000u + kThreads);
+    EXPECT_EQ(*cache.get(dirty[k].first), dirty[k].second);
+  }
+  for (Ino ino = 1; ino <= kInos; ++ino) cache.mark_clean(ino);
+  EXPECT_TRUE(cache.dirty_snapshot().empty());
+  EXPECT_EQ(cache.size(), kInos);
 }
 
 TEST(DentryCache, PositiveNegativeAndInvalidate) {

@@ -16,7 +16,7 @@ statistics that cancel host drift:
 
 Usage:
   tools/bench_ab.py --a <baseline-binary> --b <candidate-binary> \
-      --filter <regex> [--runs 8] [--min-time 0.2s] [--out results.json]
+      --filter <regex> [--runs 8] [--min-time 0.2] [--out results.json]
 
 The positional benchmark binary arguments must both support
 --benchmark_format=json (any google-benchmark binary does).
@@ -34,7 +34,7 @@ def run_once(binary, bench_filter, min_time):
         binary,
         "--benchmark_filter=" + bench_filter,
         "--benchmark_format=json",
-        "--benchmark_min_time=" + min_time,
+        f"--benchmark_min_time={min_time}",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -96,8 +96,9 @@ def main():
     ap.add_argument("--filter", required=True, help="benchmark name regex")
     ap.add_argument("--runs", type=int, default=8,
                     help="runs per binary (default 8)")
-    ap.add_argument("--min-time", default="0.2s",
-                    help="--benchmark_min_time per run (default 0.2s)")
+    # A plain number: libbenchmark before 1.8 rejects a unit suffix.
+    ap.add_argument("--min-time", type=float, default=0.2,
+                    help="--benchmark_min_time per run, seconds (default 0.2)")
     ap.add_argument("--out", help="write full results JSON here")
     args = ap.parse_args()
 
