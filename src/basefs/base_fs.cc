@@ -119,7 +119,8 @@ Result<std::unique_ptr<BaseFs>> BaseFs::mount(BlockDevice* dev,
                                               const BaseFsOptions& opts,
                                               SimClockPtr clock,
                                               BugRegistry* bugs,
-                                              WarnSink* warns) {
+                                              WarnSink* warns,
+                                              uint32_t replay_workers) {
   std::vector<uint8_t> sb_block(kBlockSize);
   RAEFS_TRY_VOID(dev->read_block(0, sb_block));
   RAEFS_TRY(Superblock sb, Superblock::decode(sb_block));
@@ -129,7 +130,7 @@ Result<std::unique_ptr<BaseFs>> BaseFs::mount(BlockDevice* dev,
   if (sb.state == FsState::kMounted) {
     // Unclean previous mount: crash recovery via journal replay.
     obs::TraceSpan rspan(obs::kSpanJournalReplay, clock.get());
-    RAEFS_TRY(ReplayResult rr, Journal::replay(dev, geo));
+    RAEFS_TRY(ReplayResult rr, Journal::replay(dev, geo, replay_workers));
     replays = rr.applied_txns;
     obs::flight().record(obs::Component::kJournal, "replay", "",
                          clock ? clock->now() : 0, rr.applied_txns,

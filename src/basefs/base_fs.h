@@ -121,11 +121,15 @@ class BaseFs {
   /// Mount: validates the superblock, replays the journal if the previous
   /// mount did not unmount cleanly, marks the filesystem mounted.
   /// `bugs` and `warns` may be null (no injection / WARNs dropped).
+  /// `replay_workers` is Journal::replay's worker count for that replay;
+  /// 1 keeps the serial reference path (the contained reboot passes the
+  /// recovery's resolved count).
   static Result<std::unique_ptr<BaseFs>> mount(BlockDevice* dev,
                                                const BaseFsOptions& opts,
                                                SimClockPtr clock = nullptr,
                                                BugRegistry* bugs = nullptr,
-                                               WarnSink* warns = nullptr);
+                                               WarnSink* warns = nullptr,
+                                               uint32_t replay_workers = 1);
 
   /// Commit, checkpoint, mark the superblock clean. The object is
   /// unusable afterwards.
@@ -177,8 +181,8 @@ class BaseFs {
   /// (atomic under power cuts: replay yields either the pre-install or
   /// the fully-installed image), writes it in place across
   /// BaseFsOptions::install_workers threads and checkpoints. Errors are
-  /// returned; the supervisor's download retry replays, remounts and
-  /// installs again.
+  /// returned; the supervisor's download retry remounts (the mount's
+  /// replay clears a torn install) and installs again.
   Status install_blocks(const std::vector<InstallBlock>& blocks);
 
   // --- Introspection ----------------------------------------------------

@@ -17,11 +17,11 @@ namespace raefs {
 namespace {
 
 /// Transient-fault tolerance for the recovery pipeline's own IO: how many
-/// times to re-run journal replay (reboot phase) and the metadata download
-/// when they fail with a device error, before declaring the recovery
-/// failed. Both are idempotent -- replay reapplies the same committed
-/// transactions and the download installs the same shadow blocks -- so
-/// re-running the phase after a transient EIO is safe.
+/// times to re-run the reboot's mount (journal replay included) and the
+/// metadata download when they fail with a device error, before declaring
+/// the recovery failed. Both are idempotent -- replay reapplies the same
+/// committed transactions and the download installs the same shadow
+/// blocks -- so re-running the phase after a transient EIO is safe.
 constexpr uint32_t kRecoveryIoRetries = 2;
 
 /// Flight-recorder tail for an incident report: the last `limit` events,
@@ -119,8 +119,9 @@ Result<std::unique_ptr<RaeSupervisor>> RaeSupervisor::start(
 
 RaeSupervisor::~RaeSupervisor() = default;
 
-Status RaeSupervisor::mount_base() {
-  RAEFS_TRY(base_, BaseFs::mount(dev_, opts_.base, clock_, bugs_, &warns_));
+Status RaeSupervisor::mount_base(uint32_t replay_workers) {
+  RAEFS_TRY(base_, BaseFs::mount(dev_, opts_.base, clock_, bugs_, &warns_,
+                                 replay_workers));
   hook_base();
   return Status::Ok();
 }
@@ -262,10 +263,13 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
     write_incidents_file(opts_.incident_path);
   };
 
+  // An offline supervisor holds no base instance: a failure after the
+  // reboot drops the base it mounted.
   auto fail = [&](std::string why) -> Errno {
     ++stats_.failed_recoveries;
     stats_.last_failure = std::move(why);
     offline_ = true;
+    base_.reset();
     if (clock_) {
       Nanos dt = clock_->now() - t0;
       stats_.total_downtime += dt;
@@ -321,8 +325,11 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
   inc.shadow_replay_workers = shadow_cfg.replay_workers;
   inc.install_workers = resolve_workers(opts_.base.install_workers, dev_);
 
-  // Reboot: pay the contained-reboot cost and reach the trusted on-disk
-  // state S0 via journal replay.
+  // Reboot: pay the contained-reboot cost and mount a fresh base from the
+  // on-disk image. The crashed instance left the superblock mounted, so
+  // the mount replays the journal -- with the resolved worker count, its
+  // one replay per reboot -- and the new base starts at the trusted
+  // on-disk state S0.
   {
     obs::TraceSpan ps(obs::kSpanRecoveryReboot, clock_.get(), rspan.id());
     if (clock_) clock_->advance(opts_.contained_reboot_cost);
@@ -330,29 +337,31 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
       end_phase(&RaeStats::reboot_ns, &obs::Incident::reboot_ns);
       return fail("no geometry available");
     }
-    obs::TraceSpan js(obs::kSpanJournalReplay, clock_.get(), ps.id());
-    // Replay is idempotent; a transient device error mid-replay vanishes
-    // on a re-run, so don't take the filesystem offline for one EIO.
-    auto replay = Journal::replay(dev_, geo, replay_workers);
-    for (uint32_t attempt = 0; !replay.ok() && attempt < kRecoveryIoRetries;
+    // The mount is idempotent (replay reapplies the same transactions); a
+    // transient device error anywhere in it vanishes on a re-run, so don't
+    // take the filesystem offline for one EIO.
+    Status mounted = mount_base(replay_workers);
+    for (uint32_t attempt = 0; !mounted.ok() && attempt < kRecoveryIoRetries;
          ++attempt) {
       ++stats_.recovery_io_retries;
-      RAEFS_LOG_WARN("rae") << "journal replay attempt " << attempt + 1
+      RAEFS_LOG_WARN("rae") << "reboot mount attempt " << attempt + 1
                             << " failed; retrying";
-      replay = Journal::replay(dev_, geo, replay_workers);
+      mounted = mount_base(replay_workers);
     }
-    js.end();
-    if (!replay.ok()) {
+    if (!mounted.ok()) {
       end_phase(&RaeStats::reboot_ns, &obs::Incident::reboot_ns);
-      return fail("journal replay failed");
+      return fail("contained reboot: mount failed");
     }
   }
   end_phase(&RaeStats::reboot_ns, &obs::Incident::reboot_ns);
 
-  // Replay: run the shadow over the recorded operation sequence. A
-  // refusal is retried a configurable number of times: transient device
-  // faults during replay vanish on retry, while genuine image corruption
-  // refuses identically every attempt (§3.1 fault model).
+  // Replay: run the shadow over the recorded operation sequence. The
+  // rebooted base sits idle meanwhile: beyond S0 it has written only its
+  // superblock's state and mount count, and it has no IO in flight (a
+  // forked shadow starts beside it). A refusal is retried a configurable
+  // number of times: transient device faults during replay vanish on
+  // retry, while genuine image corruption refuses identically every
+  // attempt (§3.1 fault model).
   auto log = oplog_.snapshot();
   ShadowOutcome outcome;
   {
@@ -379,14 +388,16 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
   end_phase(&RaeStats::replay_ns, &obs::Incident::replay_ns);
   if (!outcome.ok) return fail("shadow refused: " + outcome.failure);
 
-  // Download: reboot the base and absorb the shadow's metadata (hand-off).
+  // Download: install the shadow's metadata into the base the reboot
+  // mounted (hand-off).
   {
     obs::TraceSpan ps(obs::kSpanRecoveryDownload, clock_.get(), rspan.id());
     // The download is idempotent (it installs the same shadow blocks), so
-    // a transient IO error mid-install is survivable: replay the journal
-    // to clear any torn install transaction, remount, and install again.
-    // A base panic is NOT retried -- the shadow output deterministically
-    // trips an invariant and would panic identically every attempt.
+    // a transient IO error mid-install is survivable: drop the base and
+    // mount it again -- that mount's journal replay applies or discards
+    // the interrupted install transaction -- and install again. A base
+    // panic is NOT retried -- the shadow output deterministically trips an
+    // invariant and would panic identically every attempt.
     Status downloaded = Errno::kIo;
     for (uint32_t attempt = 0; attempt <= kRecoveryIoRetries; ++attempt) {
       // Each attempt gets its own child span so a trace of a flaky device
@@ -399,15 +410,13 @@ Result<ShadowOutcome> RaeSupervisor::recover(const FaultSite& site,
         ++inc.download_retries;
         RAEFS_LOG_WARN("rae")
             << "metadata download attempt " << attempt
-            << " failed; replaying journal and retrying";
+            << " failed; remounting and retrying";
         base_.reset();
-        auto rereplay = Journal::replay(dev_, geo, replay_workers);
-        if (!rereplay.ok()) continue;
-      }
-      Status mounted = mount_base();
-      if (!mounted.ok()) {
-        downloaded = mounted;
-        continue;
+        Status mounted = mount_base(replay_workers);
+        if (!mounted.ok()) {
+          downloaded = mounted;
+          continue;
+        }
       }
       try {
         downloaded = base_->install_blocks(outcome.dirty);

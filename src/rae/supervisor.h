@@ -7,11 +7,11 @@
 //     WARN escalation per policy, and validate-on-sync failures (which
 //     also surface as panics);
 //   - on error, performs the contained reboot (destroy the base instance,
-//     discarding all its in-memory state; replay the journal to reach the
-//     trusted on-disk state S0), runs the shadow over the recorded
-//     sequence, downloads the shadow's metadata into a freshly mounted
-//     base, delivers the in-flight operation's result to the caller, and
-//     resumes -- the application never observes the bug;
+//     discarding all its in-memory state; mount a fresh one, whose journal
+//     replay reaches the trusted on-disk state S0), runs the shadow over
+//     the recorded sequence, downloads the shadow's metadata into that
+//     rebooted base, delivers the in-flight operation's result to the
+//     caller, and resumes -- the application never observes the bug;
 //   - if the shadow itself refuses (corrupt/crafted image, fatal
 //     discrepancy), takes the filesystem offline cleanly (every subsequent
 //     operation fails with EIO) instead of crashing the machine.
@@ -71,12 +71,13 @@ struct RaeOptions {
 
   // --- recovery parallelism & verification (docs/RECOVERY.md) ----------
 
-  /// Worker threads for journal replay during the reboot phase. Replay is
-  /// batched latest-wins per target block and the writes partitioned by
-  /// block range, so any worker count produces a byte-identical image;
-  /// 1 keeps the serial reference path. 0 = auto: derive the count from
-  /// the device's probed effective queue depth (blockdev/qdepth_probe.h),
-  /// measured once per device and recorded in the incident report.
+  /// Worker threads for the reboot phase's journal replay, which the
+  /// rebooted base's mount performs. Replay is batched latest-wins per
+  /// target block and the writes partitioned by block range, so any worker
+  /// count produces a byte-identical image; 1 keeps the serial reference
+  /// path. 0 = auto: derive the count from the device's probed effective
+  /// queue depth (blockdev/qdepth_probe.h), measured once per device and
+  /// recorded in the incident report.
   uint32_t journal_replay_workers = 1;
 
   /// Worker threads for post-recovery fsck (the verify phase below and
@@ -205,7 +206,10 @@ class RaeSupervisor {
   RaeSupervisor(BlockDevice* dev, const RaeOptions& opts, SimClockPtr clock,
                 BugRegistry* bugs);
 
-  Status mount_base();
+  /// Mount a fresh base over `dev_` and hook it up. `replay_workers` goes to
+  /// the mount's journal replay (the contained reboot passes the resolved
+  /// journal_replay_workers; start() keeps the serial path).
+  Status mount_base(uint32_t replay_workers = 1);
   void hook_base();
 
   /// Full recovery pipeline. `inflight_seq` identifies the op whose

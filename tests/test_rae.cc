@@ -4,7 +4,7 @@
 // fallback on unrecoverable images, and post-recovery consistency (I2-I4).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -539,14 +539,12 @@ TEST_F(RaeTest, RecoveryTimelineSpansMatchDowntime) {
   EXPECT_EQ(stat_sum, st.total_downtime);
   EXPECT_EQ(span_sum, st.total_downtime);
 
-  // A journal replay nests inside the reboot phase (the remount during
-  // Download replays again, as a root span of its own).
+  // The journal is replayed exactly once, by the rebooted base's mount,
+  // inside the reboot phase; the download installs into that base.
   auto replay = obs::tracer().spans_named(obs::kSpanJournalReplay);
   auto reboot = obs::tracer().spans_named(obs::kSpanRecoveryReboot);
-  ASSERT_FALSE(replay.empty());
-  EXPECT_TRUE(std::any_of(replay.begin(), replay.end(), [&](const auto& s) {
-    return s.parent == reboot[0].id;
-  }));
+  ASSERT_EQ(replay.size(), 1u);
+  EXPECT_EQ(replay[0].parent, reboot[0].id);
 
   // Per-phase counters export the same breakdown to the registry.
   auto snap = obs::metrics().snapshot();
@@ -559,6 +557,91 @@ TEST_F(RaeTest, RecoveryTimelineSpansMatchDowntime) {
   EXPECT_NE(obs::flight().last_dump().find("recovery completed"),
             std::string::npos);
   ASSERT_TRUE(sup->shutdown().ok());
+}
+
+/// Counts the reads that land in the journal region; all IO passes
+/// through to `inner`.
+class JournalReadCounter final : public BlockDevice {
+ public:
+  JournalReadCounter(BlockDevice* inner, const Geometry& geo)
+      : inner_(inner),
+        first_(geo.journal_start),
+        end_(geo.journal_start + geo.journal_blocks) {}
+
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t block_count() const override { return inner_->block_count(); }
+  Status read_block(BlockNo block, std::span<uint8_t> out) override {
+    if (block >= first_ && block < end_) reads_.fetch_add(1);
+    return inner_->read_block(block, out);
+  }
+  Status write_block(BlockNo block, std::span<const uint8_t> data) override {
+    return inner_->write_block(block, data);
+  }
+  Status flush() override { return inner_->flush(); }
+  const DeviceStats& stats() const override { return inner_->stats(); }
+
+  uint64_t reads() const { return reads_.load(); }
+
+ private:
+  BlockDevice* inner_;
+  BlockNo first_;
+  BlockNo end_;
+  std::atomic<uint64_t> reads_{0};
+};
+
+TEST_F(RaeTest, ContainedRebootReadsTheJournalOnce) {
+  // The reboot is the base's own mount: its replay (tail audit included)
+  // is the recovery's one pass over the journal region, and the download
+  // installs into that base instead of mounting -- and replaying -- again.
+  // Beyond the pass, the recovery reads only the journal header (the
+  // mount's open, the install's bounded scan) and, serially, two blocks
+  // a second time: the header (replay, then its scan) and the block where
+  // the scan stops (the scan, then the tail audit).
+  const testing_support::TestFsOptions fs_opts;
+  for (uint32_t workers : {1u, 8u}) {
+    SCOPED_TRACE("journal_replay_workers " + std::to_string(workers));
+    auto fs = make_test_device(fs_opts);
+    auto geo = compute_geometry(fs_opts.total_blocks, fs_opts.inode_count,
+                                fs_opts.journal_blocks);
+    ASSERT_TRUE(geo.ok());
+    JournalReadCounter dev(fs.device.get(), geo.value());
+    BugRegistry bugs;
+    bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
+    RaeOptions opts;
+    opts.journal_replay_workers = workers;
+    auto started = RaeSupervisor::start(&dev, opts, fs.clock, &bugs);
+    ASSERT_TRUE(started.ok());
+    auto& sup = *started.value();
+
+    auto keep = sup.create("/keep", 0644);
+    ASSERT_TRUE(keep.ok());
+    ASSERT_TRUE(sup.write(keep.value(), 0, 0, pattern_bytes(3000, 7)).ok());
+    ASSERT_TRUE(sup.sync().ok());  // one committed transaction to replay
+    std::string trigger = "/" + std::string(54, 'x');
+    ASSERT_TRUE(sup.create(trigger, 0644).ok());
+
+    obs::flight().clear();
+    const uint64_t before = dev.reads();
+    ASSERT_TRUE(sup.unlink(trigger).ok());
+    ASSERT_EQ(sup.stats().recoveries, 1u);
+    EXPECT_LE(dev.reads() - before, fs_opts.journal_blocks + 4);
+
+    // The rebooted base reports the replay it did.
+    EXPECT_EQ(sup.base_stats().journal_replays_at_mount, 1u);
+    std::string last_mount;
+    for (const auto& e : obs::flight().snapshot()) {
+      if (e.component == obs::Component::kBaseFs &&
+          std::string(e.kind) == "mount") {
+        last_mount = e.detail;
+      }
+    }
+    EXPECT_EQ(last_mount, "unclean (journal replayed)");
+
+    auto back = sup.read(keep.value(), 0, 0, 3000);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), pattern_bytes(3000, 7));
+    ASSERT_TRUE(sup.shutdown().ok());
+  }
 }
 
 // --- incident forensics ---------------------------------------------------
@@ -649,14 +732,20 @@ TEST_F(RaeTest, IncidentPathWritesForensicFileOnRecovery) {
 // leave an image from which a fresh supervised mount converges.
 // ---------------------------------------------------------------------------
 
+/// Device IO one recovery issued, counted from the panicking call.
+struct RecoveryIo {
+  uint64_t writes = 0;
+  uint64_t reads = 0;
+};
+
 struct RecoveryCrashScenario {
   // Device write index (relative to the panic) where the power failed;
   // kNoCrash runs the scenario to completion.
   static constexpr uint64_t kNoCrash = ~uint64_t{0};
 
-  // Returns the number of device writes recovery issued (valid only for
-  // the kNoCrash baseline).
-  static uint64_t run(uint64_t crash_after) {
+  // Returns the device IO recovery issued (valid only for the kNoCrash
+  // baseline).
+  static RecoveryIo run(uint64_t crash_after) {
     auto t = testing_support::make_test_device();
     FaultBlockDevice fdev(t.device.get());
     BugRegistry bugs;
@@ -672,14 +761,16 @@ struct RecoveryCrashScenario {
     EXPECT_TRUE(sup.value()->sync().ok());
     EXPECT_TRUE(sup.value()->create(trigger, 0644).ok());
 
-    uint64_t before = fdev.writes_seen();
+    const uint64_t before = fdev.writes_seen();
+    const uint64_t reads_before = fdev.reads_seen();
     if (crash_after != kNoCrash) {
       fdev.arm_crash_after_writes(before + crash_after);
     }
     // The unlink panics the base and recovery runs -- possibly into a
     // dead device. Whatever happens must not escape as a crash.
     Status st = sup.value()->unlink(trigger);
-    uint64_t used = fdev.writes_seen() - before;
+    const RecoveryIo used{fdev.writes_seen() - before,
+                          fdev.reads_seen() - reads_before};
     if (crash_after == kNoCrash) {
       EXPECT_TRUE(st.ok());
       return used;
@@ -716,7 +807,8 @@ struct RecoveryCrashScenario {
 };
 
 TEST(RaeRecoveryIdempotence, CrashAtEveryWriteOfRecoveryConverges) {
-  uint64_t total = RecoveryCrashScenario::run(RecoveryCrashScenario::kNoCrash);
+  uint64_t total =
+      RecoveryCrashScenario::run(RecoveryCrashScenario::kNoCrash).writes;
   ASSERT_GT(total, 0u);
   // Crashing after k in [0, total) covers every phase boundary and every
   // point in between; crash index total is the no-crash case again.
@@ -726,42 +818,64 @@ TEST(RaeRecoveryIdempotence, CrashAtEveryWriteOfRecoveryConverges) {
   }
 }
 
+/// One transient EIO inside recovery -- on its `k`-th device write, or on
+/// its `k`-th read -- must be absorbed by the idempotent phase retries: the
+/// supervisor stays online, the application-visible call still succeeds,
+/// and synced data survives.
+void recovery_survives_one_shot_eio(bool on_read, uint64_t k) {
+  auto t = testing_support::make_test_device();
+  FaultBlockDevice fdev(t.device.get());
+  BugRegistry bugs;
+  bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
+  auto sup = RaeSupervisor::start(&fdev, {}, t.clock, &bugs);
+  ASSERT_TRUE(sup.ok());
+
+  std::string trigger = "/" + std::string(54, 'x');
+  auto keep = sup.value()->create("/keep", 0644);
+  ASSERT_TRUE(keep.ok());
+  ASSERT_TRUE(
+      sup.value()->write(keep.value(), 0, 0, pattern_bytes(3000, 7)).ok());
+  ASSERT_TRUE(sup.value()->sync().ok());
+  ASSERT_TRUE(sup.value()->create(trigger, 0644).ok());
+
+  if (on_read) {
+    fdev.arm_read_error_at(fdev.reads_seen() + k);
+  } else {
+    fdev.arm_write_error_at(fdev.writes_seen() + k);
+  }
+  Status st = sup.value()->unlink(trigger);
+  EXPECT_TRUE(st.ok()) << to_string(st.error());
+  EXPECT_FALSE(sup.value()->offline()) << sup.value()->offline_reason();
+  auto back = sup.value()->read(keep.value(), 0, 0, 3000);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), pattern_bytes(3000, 7));
+  ASSERT_TRUE(sup.value()->shutdown().ok());
+
+  auto report = fsck(t.device.get(), FsckLevel::kStrict);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report.value().consistent()) << report.value().summary();
+}
+
 TEST(RaeRecoveryIdempotence, OneShotWriteErrorMidRecoverySurvivesOnline) {
-  uint64_t total = RecoveryCrashScenario::run(RecoveryCrashScenario::kNoCrash);
+  uint64_t total =
+      RecoveryCrashScenario::run(RecoveryCrashScenario::kNoCrash).writes;
   ASSERT_GT(total, 0u);
   for (uint64_t k = 0; k < total; ++k) {
     SCOPED_TRACE("EIO on recovery write " + std::to_string(k));
-    auto t = testing_support::make_test_device();
-    FaultBlockDevice fdev(t.device.get());
-    BugRegistry bugs;
-    bugs.install(bugs::make(bugs::kUnlinkLongNamePanic));
-    auto sup = RaeSupervisor::start(&fdev, {}, t.clock, &bugs);
-    ASSERT_TRUE(sup.ok());
+    recovery_survives_one_shot_eio(/*on_read=*/false, k);
+  }
+}
 
-    std::string trigger = "/" + std::string(54, 'x');
-    auto keep = sup.value()->create("/keep", 0644);
-    ASSERT_TRUE(keep.ok());
-    ASSERT_TRUE(
-        sup.value()->write(keep.value(), 0, 0, pattern_bytes(3000, 7)).ok());
-    ASSERT_TRUE(sup.value()->sync().ok());
-    ASSERT_TRUE(sup.value()->create(trigger, 0644).ok());
-
-    fdev.arm_write_error_at(fdev.writes_seen() + k);
-    // One transient write error inside recovery must be absorbed by the
-    // idempotent phase retries: the supervisor stays online and the
-    // application-visible call still succeeds.
-    Status st = sup.value()->unlink(trigger);
-    EXPECT_TRUE(st.ok()) << to_string(st.error());
-    EXPECT_FALSE(sup.value()->offline())
-        << sup.value()->offline_reason();
-    auto back = sup.value()->read(keep.value(), 0, 0, 3000);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value(), pattern_bytes(3000, 7));
-    ASSERT_TRUE(sup.value()->shutdown().ok());
-
-    auto report = fsck(t.device.get(), FsckLevel::kStrict);
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report.value().consistent()) << report.value().summary();
+TEST(RaeRecoveryIdempotence, OneShotReadErrorMidRecoverySurvivesOnline) {
+  // The reboot's retry wraps the whole mount, so an EIO on the superblock
+  // read, the journal scan or read-ahead, or a bitmap reload re-runs the
+  // mount; one in the shadow's reads re-runs the shadow.
+  uint64_t total =
+      RecoveryCrashScenario::run(RecoveryCrashScenario::kNoCrash).reads;
+  ASSERT_GT(total, 0u);
+  for (uint64_t k = 0; k < total; ++k) {
+    SCOPED_TRACE("EIO on recovery read " + std::to_string(k));
+    recovery_survives_one_shot_eio(/*on_read=*/true, k);
   }
 }
 
